@@ -1641,10 +1641,6 @@ let bechamel () =
   List.iter
     (fun t ->
       let results = benchmark t in
-      Hashtbl.iter
-        (fun _name result ->
-          ignore result)
-        results;
       (* print mean run time per test *)
       Hashtbl.iter
         (fun name r ->

@@ -17,15 +17,9 @@ open Specpmt_pmalloc
 open Specpmt_txn
 
 type t = {
-  heap : Heap.t;
   pm : Pmem.t;
   log : Intent_log.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
-  mutable in_tx : bool;
 }
 
 let tx_write t a v =
@@ -38,62 +32,40 @@ let tx_write t a v =
    backup copy (omitted) would absorb them off the critical path. *)
 let commit t =
   Intent_log.truncate_durable t.log;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
+  Write_set.clear t.ws
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value);
   Intent_log.truncate_durable t.log;
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Kamino: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 let create heap =
   let t =
     {
-      heap;
       pm = Heap.pmem heap;
       log =
         Intent_log.create heap ~region_slot:Slots.kamino_region
           ~capacity_slot:Slots.kamino_capacity ~words_per_entry:1
           ~capacity:1024;
       ws = Write_set.create ();
-      frees = [];
-      in_tx = false;
     }
   in
+  let driver = Ctx.Driver.create heap in
+  Ctx.Driver.install driver
+    {
+      begin_tx = ignore;
+      read = (fun a -> Pmem.load_int t.pm a);
+      write = (fun a v -> tx_write t a v);
+      alloc = (fun n -> Heap.alloc heap n);
+      frees = Deferred;
+      commit = (fun _ -> commit t);
+      after_commit = ignore;
+      rollback = (fun () -> rollback t);
+    };
   {
     Ctx.name = "Kamino-Tx";
-    run_tx = (fun f -> run_tx t f);
+    run_tx = (fun f -> Ctx.Driver.run driver f);
     recover =
       (fun () ->
         invalid_arg

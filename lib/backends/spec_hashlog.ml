@@ -22,14 +22,10 @@ type t = {
   pm : Pmem.t;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
   mutable table : Addr.t;
   mutable buckets : int;
-  mutable in_tx : bool;
   mutable touched : Addr.t list; (* bucket lines dirtied by the open tx *)
+  driver : Ctx.Driver.t;
 }
 
 let bucket_bytes = 64
@@ -96,46 +92,14 @@ let commit t =
   Pmem.store_int t.pm (committed_ts_addr t) ts;
   Pmem.clwb t.pm (committed_ts_addr t);
   Pmem.sfence t.pm;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
   t.touched <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
+  Write_set.clear t.ws
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value;
       write_version t a slot.Write_set.old_value (Tsc.peek t.tsc));
-  t.frees <- [];
   commit t
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spec_hashlog: nested transaction";
-  t.in_tx <- true;
-  (* outcome hooks fire from these dispatch arms, never from
-     [commit]/[rollback] — [rollback] itself ends in [commit] *)
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
 
 let recover t =
   Heap.recover t.heap;
@@ -171,9 +135,8 @@ let recover t =
   Pmem.sfence t.pm;
   Tsc.restart_above t.tsc committed;
   t.touched <- [];
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Driver.reset t.driver
 
 let create ?buckets heap =
   let pm = Heap.pmem heap in
@@ -201,16 +164,26 @@ let create ?buckets heap =
       pm;
       tsc = Tsc.create ();
       ws = Write_set.create ();
-      frees = [];
       table;
       buckets;
-      in_tx = false;
       touched = [];
+      driver = Ctx.Driver.create heap;
     }
   in
+  Ctx.Driver.install t.driver
+    {
+      begin_tx = ignore;
+      read = (fun a -> Pmem.load_int pm a);
+      write = (fun a v -> tx_write t a v);
+      alloc = (fun n -> Heap.alloc heap n);
+      frees = Deferred;
+      commit = (fun _ -> commit t);
+      after_commit = ignore;
+      rollback = (fun () -> rollback t);
+    };
   {
     Ctx.name = "Spec-hashlog";
-    run_tx = (fun f -> run_tx t f);
+    run_tx = (fun f -> Ctx.Driver.run t.driver f);
     recover = (fun () -> recover t);
     drain = (fun () -> ());
     log_footprint = (fun () -> t.buckets * bucket_bytes);

@@ -48,16 +48,8 @@ type t = {
   head_slot : int;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
-  mutable allocs : Addr.t list;
-      (* allocations made by the open transaction: released again on
-         rollback, otherwise an aborted transaction leaks them forever
-         (frees are deferred; allocs must be compensated) *)
   mutable arena : Log_arena.t;
-  mutable in_tx : bool;
+  driver : Ctx.Driver.t;
   mutable in_batch : bool;
       (* group commit open: transactions commit tentative (poisoned
          checksum, no fence) records until [batch_end] seals the whole
@@ -337,14 +329,7 @@ let commit t =
     Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
     Pmem.sfence t.pm
   end;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
-  t.allocs <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false;
-  (* reclamation would rewrite the chain out from under the unsealed
-     records; during a batch it is deferred to [batch_end] *)
-  if not t.in_batch then maybe_reclaim t
+  Write_set.clear t.ws
 
 (* Abort: restore the in-place (still volatile) updates from the write
    set, freshen the log entries to the restored values, and commit the
@@ -362,49 +347,7 @@ let rollback t =
     Log_arena.commit_record t.arena ~tentative:t.in_batch ~timestamp:ts;
     index_commit t ts
   end;
-  (* compensate the aborted transaction's allocations: its deferred frees
-     are simply dropped, but blocks it allocated would otherwise leak *)
-  List.iter (fun a -> Heap.free t.heap a) t.allocs;
-  t.allocs <- [];
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spec_soft: nested transaction";
-  t.in_tx <- true;
-  Log_arena.begin_record t.arena;
-  (* outcome hooks live for exactly this transaction; fired from the
-     dispatch arms below, never from [commit]/[rollback] themselves *)
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc =
-        (fun n ->
-          let a = Heap.alloc t.heap n in
-          t.allocs <- a :: t.allocs;
-          a);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      (* a device crash (or any other error) escapes without commit or
-         rollback; the hooks still learn the transaction did not commit,
-         so volatile caches drop their staged deltas *)
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 (* ---------- Group commit ---------- *)
 
@@ -420,7 +363,8 @@ let run_tx t f =
 let in_batch t = t.in_batch
 
 let batch_begin t =
-  if t.in_tx then invalid_arg "Spec_soft.batch_begin: open transaction";
+  if Ctx.Driver.in_tx t.driver then
+    invalid_arg "Spec_soft.batch_begin: open transaction";
   if t.in_batch then invalid_arg "Spec_soft.batch_begin: batch already open";
   if t.params.data_persist then
     invalid_arg
@@ -429,7 +373,8 @@ let batch_begin t =
 
 let batch_end t =
   if not t.in_batch then invalid_arg "Spec_soft.batch_end: no open batch";
-  if t.in_tx then invalid_arg "Spec_soft.batch_end: open transaction";
+  if Ctx.Driver.in_tx t.driver then
+    invalid_arg "Spec_soft.batch_end: open transaction";
   t.in_batch <- false;
   let sealed = Log_arena.seal_tentative t.arena in
   (* reclamation was deferred while records were unsealed *)
@@ -513,10 +458,8 @@ let recover t =
     Log_arena.attach t.heap ~head_slot:t.head_slot
       ~block_bytes:t.params.block_bytes;
   rebuild_vindex ?from:index t;
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
-  t.allocs <- [] (* likewise its allocations: Heap.recover owns the walk *);
   Write_set.clear t.ws;
-  t.in_tx <- false;
+  Ctx.Driver.reset t.driver;
   t.in_batch <- false (* an unsealed batch died with the crash *);
   Metrics.incr (Metrics.counter "recover.cycles");
   Metrics.add (Metrics.counter "recover.cells_restored")
@@ -531,23 +474,17 @@ let reattach t =
     Log_arena.attach t.heap ~head_slot:t.head_slot
       ~block_bytes:t.params.block_bytes;
   rebuild_vindex t;
-  t.frees <- [];
-  t.allocs <- [];
   Write_set.clear t.ws;
-  t.in_tx <- false;
+  Ctx.Driver.reset t.driver;
   t.in_batch <- false
 
 let snapshot_region t addr len =
   assert (Addr.is_word_aligned addr && len mod 8 = 0);
-  let backend_ctx_write = tx_write t in
-  if t.in_tx then invalid_arg "Spec_soft.snapshot_region: open transaction";
-  t.in_tx <- true;
-  Log_arena.begin_record t.arena;
-  for i = 0 to (len / 8) - 1 do
-    let a = addr + (i * 8) in
-    backend_ctx_write a (Pmem.load_int t.pm a)
-  done;
-  commit t
+  Ctx.Driver.run t.driver (fun ctx ->
+      for i = 0 to (len / 8) - 1 do
+        let a = addr + (i * 8) in
+        ctx.Ctx.write a (ctx.Ctx.read a)
+      done)
 
 (* Switching crash-consistency mechanisms (Section 4.3.1): because
    SpecPMT uses in-place updates, leaving speculative logging only
@@ -558,7 +495,8 @@ let snapshot_region t addr len =
    needed and is emptied, and any other mechanism (undo, redo...) may run
    on the same pool from then on. *)
 let switch_out t =
-  if t.in_tx then invalid_arg "Spec_soft.switch_out: open transaction";
+  if Ctx.Driver.in_tx t.driver then
+    invalid_arg "Spec_soft.switch_out: open transaction";
   if t.in_batch then invalid_arg "Spec_soft.switch_out: open batch";
   (* 1: persist every datum with a live record *)
   let touched = live_cells t in
@@ -585,12 +523,10 @@ let create ?(head_slot = Slots.spec_head) ?tsc heap params =
       head_slot;
       tsc = (match tsc with Some c -> c | None -> Tsc.create ());
       ws = Write_set.create ();
-      frees = [];
-      allocs = [];
       arena =
         Log_arena.create heap ~head_slot
           ~block_bytes:params.block_bytes;
-      in_tx = false;
+      driver = Ctx.Driver.create heap;
       in_batch = false;
       reclaims = 0;
       last_compact_footprint = params.block_bytes;
@@ -599,10 +535,26 @@ let create ?(head_slot = Slots.spec_head) ?tsc heap params =
       bg_spent = 0.0;
     }
   in
+  Ctx.Driver.install t.driver
+    {
+      begin_tx = (fun () -> Log_arena.begin_record t.arena);
+      read = (fun a -> Pmem.load_int pm a);
+      write = (fun a v -> tx_write t a v);
+      alloc = (fun n -> Heap.alloc heap n);
+      frees = Deferred;
+      commit = (fun _ -> commit t);
+      after_commit =
+        (fun () ->
+          (* reclamation would rewrite the chain out from under the
+             unsealed records; during a batch it is deferred to
+             [batch_end] *)
+          if not t.in_batch then maybe_reclaim t);
+      rollback = (fun () -> rollback t);
+    };
   let backend =
     {
       Ctx.name = (if params.data_persist then "SpecSPMT-DP" else "SpecSPMT");
-      run_tx = (fun f -> run_tx t f);
+      run_tx = (fun f -> Ctx.Driver.run t.driver f);
       recover = (fun () -> recover t);
       drain = (fun () -> ());
       log_footprint = (fun () -> Log_arena.footprint t.arena);

@@ -22,7 +22,7 @@
     - {!Schemes}: software schemes (PMDK, Kamino-Tx, SPHT, SpecSPMT...),
     - {!Hw_schemes}: simulated-hardware schemes (EDE, HOOP, SpecHPMT...),
     - {!Pstruct}: the persistent data structures (ordered Pbtree index,
-      treap, hash table, vector...),
+      treap, hash table, queue...),
     - {!Workload}: the STAMP port,
     - {!Run}: the measurement harness behind all figures,
     - {!Crashmc}: the deterministic crash-state exploration engine,

@@ -24,16 +24,11 @@ type t = {
   pm : Pmem.t;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
   mutable arena : Log_arena.t;
   mutable map_arena : Log_arena.t;
       (* address-mapping records (one per cache miss): they cost log
          traffic like the paper says, but they are translation metadata —
          recovery must never replay them as data writes *)
-  mutable in_tx : bool;
   mutable tx_entries : (Addr.t * int) list; (* this tx, newest first *)
   tx_buffer : (Addr.t, int) Hashtbl.t;
       (* HOOP is out-of-place: uncommitted writes live in the on-chip
@@ -58,6 +53,7 @@ type t = {
       (* [tx.buffer_probes]: read-own-writes lookups that actually probed
          the redirection buffer; the empty-buffer fast path keeps
          read-only transactions at zero probes *)
+  driver : Ctx.Driver.t;
 }
 
 let block_bytes = 4096
@@ -159,49 +155,12 @@ let commit t =
     t.pending_entries <- t.pending_entries + List.length t.tx_entries
   end;
   t.tx_entries <- [];
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false;
-  if t.pending_entries >= t.gc_batch_entries then gc t
+  Write_set.clear t.ws
 
 let rollback t =
   Hashtbl.reset t.tx_buffer;
   t.tx_entries <- [];
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Hoop: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read =
-        (fun a ->
-          Hashtbl.replace t.tx_read_lines (Addr.line_of a) ();
-          tx_read t a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      (* a crash (or any other exception) escapes without committing:
-         volatile hooks observe an aborted outcome *)
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 let recover t =
   Heap.recover t.heap;
@@ -225,9 +184,8 @@ let recover t =
   t.pending <- [];
   t.pending_entries <- 0;
   t.tx_entries <- [];
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Driver.reset t.driver
 
 let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
     ?(stream_ns_per_update = 5.0) heap =
@@ -237,12 +195,10 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       pm = Heap.pmem heap;
       tsc = Tsc.create ();
       ws = Write_set.create ();
-      frees = [];
       arena =
         Log_arena.create heap ~head_slot:Hw_slots.hoop_head ~block_bytes;
       map_arena =
         Log_arena.create heap ~head_slot:Hw_slots.hoop_map_head ~block_bytes;
-      in_tx = false;
       tx_entries = [];
       tx_buffer = Hashtbl.create 64;
       tx_read_lines = Hashtbl.create 64;
@@ -252,11 +208,27 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       gc_contention;
       stream_ns_per_update;
       buffer_probes = Specpmt_obs.Metrics.counter "tx.buffer_probes";
+      driver = Ctx.Driver.create heap;
     }
   in
+  Ctx.Driver.install t.driver
+    {
+      begin_tx = ignore;
+      read =
+        (fun a ->
+          Hashtbl.replace t.tx_read_lines (Addr.line_of a) ();
+          tx_read t a);
+      write = (fun a v -> tx_write t a v);
+      alloc = (fun n -> Heap.alloc heap n);
+      frees = Deferred;
+      commit = (fun _ -> commit t);
+      after_commit =
+        (fun () -> if t.pending_entries >= t.gc_batch_entries then gc t);
+      rollback = (fun () -> rollback t);
+    };
   {
     Ctx.name = "HOOP";
-    run_tx = (fun f -> run_tx t f);
+    run_tx = (fun f -> Ctx.Driver.run t.driver f);
     recover = (fun () -> recover t);
     drain = (fun () -> gc t);
     log_footprint =

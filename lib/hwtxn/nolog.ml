@@ -7,45 +7,31 @@ open Specpmt_pmem
 open Specpmt_pmalloc
 open Specpmt_txn
 
-type t = { heap : Heap.t; pm : Pmem.t; ws : Write_set.t; mutable in_tx : bool }
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Nolog: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
+let create heap =
+  let pm = Heap.pmem heap in
+  let ws = Write_set.create () in
+  let driver = Ctx.Driver.create heap in
+  Ctx.Driver.install driver
     {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
+      begin_tx = ignore;
+      read = (fun a -> Pmem.load_int pm a);
       write =
         (fun a v ->
-          ignore (Write_set.record t.ws a ~old_value:0);
-          Pmem.store_int t.pm a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> Heap.free t.heap a);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
-      Pmem.sfence t.pm;
-      Write_set.clear t.ws;
-      t.in_tx <- false;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception e ->
-      Write_set.clear t.ws;
-      t.in_tx <- false;
-      Ctx.Hooks.fire hooks false;
-      raise e
-
-let create heap =
-  let t =
-    { heap; pm = Heap.pmem heap; ws = Write_set.create (); in_tx = false }
-  in
+          ignore (Write_set.record ws a ~old_value:0);
+          Pmem.store_int pm a v);
+      alloc = (fun n -> Heap.alloc heap n);
+      frees = Unlogged;
+      commit =
+        (fun _ ->
+          Write_set.iter_in_order ws (fun a _ -> Pmem.clwb pm a);
+          Pmem.sfence pm;
+          Write_set.clear ws);
+      after_commit = ignore;
+      rollback = (fun () -> Write_set.clear ws);
+    };
   {
     Ctx.name = "no-log";
-    run_tx = (fun f -> run_tx t f);
+    run_tx = (fun f -> Ctx.Driver.run driver f);
     recover = (fun () -> invalid_arg "no-log provides no crash consistency");
     drain = (fun () -> ());
     log_footprint = (fun () -> 0);

@@ -48,10 +48,7 @@ type t = {
   mutable undo : Nt_log.t;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
+  driver : Ctx.Driver.t;
   mutable arena : Log_arena.t;
   (* the single source of truth for logging decisions: a page is hot iff
      it has live speculative records.  The value is the page's hotness
@@ -62,7 +59,6 @@ type t = {
   spec_pages : (int, (int * int) list) Hashtbl.t;
   mutable closed_epochs : epoch list; (* oldest first *)
   mutable cur : epoch;
-  mutable in_tx : bool;
   (* statistics *)
   soft_counters : (int, int) Hashtbl.t; (* Software_sampled mode *)
   mutable soft_ops : int;
@@ -272,7 +268,7 @@ let gen_cell t = Nt_log.gen_cell t.undo
    corrupt the allocator. *)
 let log_cell t a = tx_write t a (Pmem.load_int t.pm a)
 
-let commit t =
+let commit t frees =
   (* (0) clear the deferred frees' headers through the logged-store path:
      the clears become durable exactly with the commit record (or are
      revoked with it), never before — a free that outlived a revoked
@@ -282,7 +278,7 @@ let commit t =
     (fun a ->
       let size = Heap.usable_size t.heap a in
       tx_write t (a - 8) (size lsl 1))
-    (List.rev t.frees);
+    (List.rev frees);
   (* (1) cold data first: flushes are persistent on acceptance, so a
      checksum-valid commit record always implies durable cold data *)
   let hot = ref [] in
@@ -310,8 +306,7 @@ let commit t =
   (* (4) fence-free undo truncation *)
   Nt_log.truncate t.undo;
   (* (5) the transaction is durable: release the freed blocks *)
-  List.iter (fun a -> Heap.register_free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.register_free t.heap a) (List.rev frees);
   (* commit-time L1 scan: LogBits clear, PBits stay (Section 5.1) *)
   L1tags.end_tx t.l1;
   (* epoch bookkeeping *)
@@ -322,7 +317,6 @@ let commit t =
     hot_pages;
   ignore entries;
   Write_set.clear t.ws;
-  t.in_tx <- false;
   note_footprint t;
   maybe_epoch_work t
 
@@ -331,41 +325,7 @@ let rollback t =
      record so the log matches the restored state *)
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value);
-  t.frees <- [];
-  commit t
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spec_hw: nested transaction";
-  t.in_tx <- true;
-  (* outcome hooks fire from these dispatch arms, never from
-     [commit]/[rollback] — [rollback] itself ends in [commit] *)
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc =
-        (fun n ->
-          let a = Heap.alloc t.heap n in
-          (* the header store is a durable store like any other *)
-          log_cell t (a - 8);
-          a);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  commit t []
 
 (* Recovery (Section 5.1.1): replay the valid (committed) records in
    chronological order — this also replays each record's generation bump,
@@ -435,9 +395,8 @@ let recover t =
       ignore (claim t p);
       t.cur.pages <- p :: t.cur.pages)
     pages;
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Driver.reset t.driver
 
 let create ?(thread = 0) ?tsc ?coord ?spec_pages
     ?(head_slot = Hw_slots.spec_head)
@@ -476,7 +435,7 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
           ~capacity_slot:undo_capacity_slot ~capacity:1024;
       tsc = (match tsc with Some c -> c | None -> Tsc.create ());
       ws = Write_set.create ();
-      frees = [];
+      driver = Ctx.Driver.create heap;
       arena;
       spec_pages =
         (match spec_pages with Some h -> h | None -> Hashtbl.create 256);
@@ -490,7 +449,6 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
           pages = [];
           bytes = 0;
         };
-      in_tx = false;
       n_transitions = 0;
       n_hot_writes = 0;
       n_cold_writes = 0;
@@ -499,10 +457,26 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
       peak_log = 0;
     }
   in
+  Ctx.Driver.install t.driver
+    {
+      begin_tx = ignore;
+      read = (fun a -> Pmem.load_int pm a);
+      write = (fun a v -> tx_write t a v);
+      alloc =
+        (fun n ->
+          let a = Heap.alloc heap n in
+          (* the header store is a durable store like any other *)
+          log_cell t (a - 8);
+          a);
+      frees = Logged;
+      commit = (fun frees -> commit t frees);
+      after_commit = ignore;
+      rollback = (fun () -> rollback t);
+    };
   let backend =
     {
       Ctx.name = (if params.data_persist then "SpecHPMT-DP" else "SpecHPMT");
-      run_tx = (fun f -> run_tx t f);
+      run_tx = (fun f -> Ctx.Driver.run t.driver f);
       recover = (fun () -> recover t);
       drain = (fun () -> ());
       log_footprint = (fun () -> Log_arena.footprint t.arena);
@@ -625,8 +599,7 @@ module Mt = struct
             ignore (claim rt pg);
             rt.cur.pages <- pg :: rt.cur.pages)
           (List.sort_uniq compare pages_per_thread.(i));
-        rt.frees <- [];
         Write_set.clear rt.ws;
-        rt.in_tx <- false)
+        Ctx.Driver.reset rt.driver)
       p.runtimes
 end

@@ -12,11 +12,13 @@
     when profiling (Table 2) but log at cell granularity. *)
 
 open Specpmt_pmem
+open Specpmt_pmalloc
 
 type ctx = {
   read : Addr.t -> int;  (** transactional load of an 8-byte cell *)
   write : Addr.t -> int -> unit;  (** transactional store of an 8-byte cell *)
-  alloc : int -> Addr.t;  (** persistent allocation (not rolled back) *)
+  alloc : int -> Addr.t;
+      (** persistent allocation, given back if the transaction aborts *)
   free : Addr.t -> unit;
   on_end : (bool -> unit) -> unit;
       (** Register a volatile outcome hook on the open transaction: the
@@ -33,11 +35,12 @@ type ctx = {
           raise [Invalid_argument]. *)
 }
 
-(** Per-transaction hook registry for backends: collect {!ctx.on_end}
-    callbacks while the transaction runs, then {!Hooks.fire} them with
-    the outcome from the [run_tx] dispatch arms (never from inside
-    commit/rollback helpers — some backends' rollback path calls their
-    commit helper). *)
+(** Outcome-hook registry behind {!ctx.on_end}.  {!Driver} keeps one
+    per backend instance: it collects the callbacks while a transaction
+    runs and fires them with the outcome from its commit, abort and
+    exception arms only — never from a backend's commit or rollback
+    step, since some backends roll back by committing compensating
+    writes. *)
 module Hooks = struct
   type t = { mutable fns : (bool -> unit) list }
 
@@ -81,13 +84,13 @@ type backend = {
 
 (** Non-transactional direct access used by setup phases and verification.
     Reads and writes go straight to the device with no logging. *)
-let raw_ctx (heap : Specpmt_pmalloc.Heap.t) =
-  let pm = Specpmt_pmalloc.Heap.pmem heap in
+let raw_ctx (heap : Heap.t) =
+  let pm = Heap.pmem heap in
   {
     read = (fun a -> Pmem.load_int pm a);
     write = (fun a v -> Pmem.store_int pm a v);
-    alloc = (fun n -> Specpmt_pmalloc.Heap.alloc heap n);
-    free = (fun a -> Specpmt_pmalloc.Heap.free heap a);
+    alloc = (fun n -> Heap.alloc heap n);
+    free = (fun a -> Heap.free heap a);
     (* non-transactional: every effect is already final when made, so an
        outcome hook can only ever observe a commit — fire it now (which
        is why hook users must stage their delta BEFORE registering) *)
@@ -107,3 +110,157 @@ let peek_ctx (pm : Pmem.t) =
     free = (fun _ -> invalid_arg "Ctx.peek_ctx: read-only");
     on_end = (fun _ -> invalid_arg "Ctx.peek_ctx: read-only");
   }
+
+(** The one transaction driver behind every crash-consistency backend.
+
+    A backend supplies only its {!Driver.steps}: how a transaction
+    begins, reads, writes, allocates, commits and rolls back.  The driver
+    owns everything around them, once for all backends:
+
+    - {b Nesting.}  One transaction at a time per backend instance;
+      {!Driver.run} inside an open transaction raises
+      [Invalid_argument].  {!Driver.in_tx} exposes the flag to backend
+      operations that must run between transactions.
+    - {b The dispatch arms.}  When the body returns, [commit] runs, then
+      the deferred frees are released, then [after_commit], then the
+      hooks fire [true].  On {!Abort}, [rollback] runs, the
+      transaction's allocations are given back, and the hooks fire
+      [false].  On any other exception (notably
+      {!Specpmt_pmem.Pmem.Crash}) the hooks fire [false] and nothing
+      else runs: the transaction stays open — {!Driver.run} refuses new
+      ones — until the backend's recovery calls {!Driver.reset}.  Hooks
+      fire from these arms only.
+    - {b Deferred frees.}  [ctx.free] only records the block; the
+      release happens after commit and the list is dropped on abort and
+      crash, so an uncommitted free never becomes durable.
+    - {b Allocation give-back.}  Blocks allocated by an aborted
+      transaction are freed again after its rollback; a crash instead
+      leaves them to the heap's recovery walk.
+    - {b One ctx.}  The {!ctx} record and the hook registry are built
+      once per backend instance, not per transaction.
+
+    The no-log ideal opts out of the frees, the give-back and the open
+    transaction after a crash ({!Driver.Unlogged}). *)
+module Driver = struct
+  (** What [ctx.free] does, by scheme. *)
+  type frees =
+    | Deferred
+        (** record the block; the driver releases it with [Heap.free]
+            after [commit] *)
+    | Logged
+        (** record the block and hand the list to [commit], which
+            releases it itself (SpecHPMT clears block headers through
+            logged stores) *)
+    | Unlogged
+        (** no atomicity, the no-log ideal: [ctx.free] frees at once, an
+            aborted transaction keeps its allocations (its writes are
+            not undone either, so the body may have linked them), and
+            any exception ends the transaction through [rollback] *)
+
+  type steps = {
+    begin_tx : unit -> unit;  (** before the body runs *)
+    read : Addr.t -> int;  (** [ctx.read] *)
+    write : Addr.t -> int -> unit;  (** [ctx.write] *)
+    alloc : int -> Addr.t;  (** [ctx.alloc] before the driver records it *)
+    frees : frees;
+    commit : Addr.t list -> unit;
+        (** make the transaction durable; receives the deferred frees,
+            newest first *)
+    after_commit : unit -> unit;
+        (** background work a commit may trigger (log replay, garbage
+            collection, reclamation), after the frees are released *)
+    rollback : unit -> unit;  (** undo the transaction's effects *)
+  }
+
+  type t = {
+    heap : Heap.t;
+    hooks : Hooks.t;
+    mutable in_tx : bool;
+    mutable deferred : Addr.t list;  (** frees of the open transaction *)
+    mutable allocated : Addr.t list;  (** its allocations *)
+    mutable steps : steps option;
+    mutable ctx : ctx;
+  }
+
+  (** A driver with no steps yet: a backend creates it first, keeps it
+      in its runtime state, then {!install}s steps that close over that
+      state. *)
+  let create heap =
+    {
+      heap;
+      hooks = Hooks.create ();
+      in_tx = false;
+      deferred = [];
+      allocated = [];
+      steps = None;
+      ctx = peek_ctx (Heap.pmem heap) (* until [install] *);
+    }
+
+  (** Bind the backend's steps and build the instance's one {!ctx}. *)
+  let install d s =
+    d.steps <- Some s;
+    d.ctx <-
+      {
+        read = s.read;
+        write = s.write;
+        alloc =
+          (fun n ->
+            let a = s.alloc n in
+            d.allocated <- a :: d.allocated;
+            a);
+        free =
+          (match s.frees with
+          | Deferred | Logged -> fun a -> d.deferred <- a :: d.deferred
+          | Unlogged -> Heap.free d.heap);
+        on_end = Hooks.register d.hooks;
+      }
+
+  let in_tx d = d.in_tx
+
+  let close d =
+    d.in_tx <- false;
+    d.deferred <- [];
+    d.allocated <- []
+
+  (** Close a transaction a crash left open, dropping its frees,
+      allocations and hooks unapplied.  Backend recovery calls it. *)
+  let reset d =
+    close d;
+    d.hooks.fns <- []
+
+  (** Run one transaction (the backend's [run_tx]). *)
+  let run d f =
+    if d.in_tx then invalid_arg "Ctx.Driver.run: nested transaction";
+    let s = Option.get d.steps in
+    d.in_tx <- true;
+    s.begin_tx ();
+    let outcome =
+      match f d.ctx with
+      | v ->
+          s.commit d.deferred;
+          (match s.frees with
+          | Deferred -> List.iter (Heap.free d.heap) (List.rev d.deferred)
+          | Logged | Unlogged -> ());
+          close d;
+          s.after_commit ();
+          Ok v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          (match (e, s.frees) with
+          | Abort, (Deferred | Logged) ->
+              s.rollback ();
+              List.iter (Heap.free d.heap) d.allocated;
+              close d
+          | _, Unlogged ->
+              s.rollback ();
+              close d
+          | _, (Deferred | Logged) ->
+              (* a crash: the transaction stays open until [reset] *)
+              ());
+          Error (e, bt)
+    in
+    Hooks.fire d.hooks (Result.is_ok outcome);
+    match outcome with
+    | Ok v -> v
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+end

@@ -905,10 +905,89 @@ let test_batch_single_fence () =
   Alcotest.(check int) "last batched write survives" 8
     (Pmem.peek_volatile_int pm base)
 
-let test_abort_releases_allocations () =
+(* Every transactional scheme, software and simulated hardware, as a
+   (name, constructor) table: the raw baseline runs no transactions. *)
+let transactional =
+  List.filter_map
+    (fun k ->
+      if k = Registry.Raw then None
+      else Some (Registry.name k, fun heap -> Registry.create heap k))
+    Registry.all
+  @ List.map
+      (fun k ->
+        ( Specpmt_hwtxn.Hw_registry.name k,
+          fun heap -> Specpmt_hwtxn.Hw_registry.create heap k ))
+      Specpmt_hwtxn.Hw_registry.all
+
+(* The contract every backend's [run_tx] keeps: outcome hooks fire
+   exactly once per transaction with its outcome, a hook never outlives
+   its transaction, transactions do not nest, and recovery reopens a
+   backend a crash left mid-transaction. *)
+let test_tx_contract create () =
+  let fresh () =
+    let pm = Pmem.create ~seed:41 Config.small in
+    let heap = Heap.create pm in
+    let b = create heap in
+    let base = Heap.alloc heap 64 in
+    b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 1);
+    (pm, b, base)
+  in
+  let fired = ref [] in
+  let hook ctx = ctx.Ctx.on_end (fun ok -> fired := ok :: !fired) in
+  let expect what outcomes =
+    Alcotest.(check (list bool)) what outcomes (List.rev !fired);
+    fired := []
+  in
+  let _, b, base = fresh () in
+  b.Ctx.run_tx (fun ctx ->
+      hook ctx;
+      ctx.Ctx.write base 2);
+  expect "commit fires true once" [ true ];
+  (try
+     b.Ctx.run_tx (fun ctx ->
+         hook ctx;
+         ctx.Ctx.write base 3;
+         raise Ctx.Abort)
+   with Ctx.Abort -> ());
+  expect "abort fires false once" [ false ];
+  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 4);
+  expect "an aborted transaction's hook stays dead" [];
+  (* nesting: the inner call is refused; the outer transaction then ends
+     by exception, like a crash, so the check runs last on this backend *)
+  Alcotest.(check bool) "nested run_tx raises Invalid_argument" true
+    (try
+       b.Ctx.run_tx (fun _ -> b.Ctx.run_tx (fun _ -> ()));
+       false
+     with Invalid_argument _ -> true);
+  let pm, b, base = fresh () in
+  (match
+     b.Ctx.run_tx (fun ctx ->
+         hook ctx;
+         ctx.Ctx.write base 5;
+         Pmem.set_fuse pm (Some 1);
+         ctx.Ctx.read (base + 16))
+   with
+  | _ -> Alcotest.fail "the fuse did not burn"
+  | exception Pmem.Crash -> ());
+  expect "an escaping crash fires false once" [ false ];
+  if b.Ctx.supports_recovery then begin
+    Pmem.crash pm;
+    b.Ctx.recover ();
+    b.Ctx.run_tx (fun ctx ->
+        hook ctx;
+        ctx.Ctx.write base 6);
+    expect "recovered backend runs transactions again" [ true ];
+    Alcotest.(check int) "post-recovery commit applied" 6
+      (Pmem.peek_volatile_int pm base)
+  end
+
+(* An aborted transaction gives back what it allocated.  The no-log
+   ideal is excluded: its abort undoes no write, so a block the body
+   linked somewhere must stay allocated. *)
+let test_abort_releases_allocations create () =
   let pm = Pmem.create ~seed:93 Config.small in
   let heap = Heap.create pm in
-  let backend, _ = Spec_soft.create heap Spec_soft.default_params in
+  let backend = create heap in
   let base = Heap.alloc heap 8 in
   let abort_once () =
     try
@@ -1002,14 +1081,26 @@ let () =
           Alcotest.test_case "batch seals under one fence" `Quick
             test_batch_single_fence;
         ] );
+      ( "tx contract",
+        List.map
+          (fun (name, create) ->
+            Alcotest.test_case name `Quick (test_tx_contract create))
+          transactional );
+      ( "abort releases allocations",
+        List.filter_map
+          (fun (name, create) ->
+            if name = "no-log" then None
+            else
+              Some
+                (Alcotest.test_case name `Quick
+                   (test_abort_releases_allocations create)))
+          transactional );
       ( "regressions",
         [
           Alcotest.test_case "compaction preserves replay order" `Quick
             test_mt_compaction_preserves_replay_order;
           Alcotest.test_case "switch_out invalidates log" `Quick
             test_switch_out_invalidates_log;
-          Alcotest.test_case "abort releases allocations" `Quick
-            test_abort_releases_allocations;
           Alcotest.test_case "spht read-only tx skips the write buffer"
             `Quick test_spht_readonly_skips_buffer;
         ] );

@@ -368,6 +368,56 @@ let test_alloc_budget_per_write () =
     (Printf.sprintf "%.1f minor words per committed write <= 200" per_op)
     true (per_op <= 200.0)
 
+(* The per-transaction half of the budget: one steady-state SpecSPMT
+   [run_tx], read-only and with one write, on the backend directly.  The
+   transaction driver builds the ctx once per backend instance, so what
+   is left per transaction is the body's own closure, the outcome and,
+   for the write, its write-set and log bookkeeping.  Measured after the
+   driver landed: 21 and 109 words; the budgets add ~20% headroom and
+   fail if a per-transaction ctx, closure set or hook registry returns
+   (48 and 136 words before). *)
+let test_alloc_budget_per_tx () =
+  let open Specpmt_txn in
+  let pm = Pmem.create ~seed:5 Config.small in
+  let heap = Heap.create pm in
+  let backend, _ =
+    Specpmt_backends.Spec_soft.create heap
+      Specpmt_backends.Spec_soft.default_params
+  in
+  let cells = 256 in
+  let base = Heap.alloc heap (cells * 8) in
+  backend.Ctx.run_tx (fun ctx ->
+      for i = 0 to cells - 1 do
+        ctx.Ctx.write (base + (8 * i)) 0
+      done);
+  let addr i = base + (8 * (i * 31 mod cells)) in
+  let words_per_tx tx =
+    let n = 1000 in
+    (* warm-up: the write set and log buffers reach steady capacity *)
+    for i = 0 to n - 1 do
+      tx i
+    done;
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      tx i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let ro =
+    words_per_tx (fun i ->
+        ignore (backend.Ctx.run_tx (fun ctx -> ctx.Ctx.read (addr i))))
+  in
+  let w1 =
+    words_per_tx (fun i ->
+        backend.Ctx.run_tx (fun ctx -> ctx.Ctx.write (addr i) i))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per read-only tx <= 25" ro)
+    true (ro <= 25.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per 1-write tx <= 131" w1)
+    true (w1 <= 131.0)
+
 (* ---------- descent-read budget (shadow mirror) ---------- *)
 
 (* The read-side companion of the minor-words budget above: with the
@@ -588,6 +638,8 @@ let () =
         [
           Alcotest.test_case "minor words per committed write" `Quick
             test_alloc_budget_per_write;
+          Alcotest.test_case "minor words per SpecSPMT run_tx" `Quick
+            test_alloc_budget_per_tx;
         ] );
       ( "reads",
         [
