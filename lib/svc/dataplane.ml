@@ -7,9 +7,9 @@ module Par = Specpmt_par.Par
 
 (* The shard-per-domain data plane: a router domain forms batches from a
    deterministic op stream and hands them over SPSC rings to worker
-   domains, each of which owns a group of shards — their Spec_soft
-   runtimes, group-commit batchers and one incoherent Pmem view of the
-   shared media.
+   domains, each of which owns a group of shards — their Shard
+   executors (Spec_soft runtime and group-commit batcher) and one
+   incoherent Pmem view of the shared media.
 
    Ownership discipline (the whole correctness argument):
 
@@ -62,23 +62,19 @@ type comp = { cp_shard : int; cp_idx : int array; cp_vals : int array }
 
 type t = {
   cfg : config;
-  params : Spec_soft.params;
   pm : Pmem.t;  (* parent view: recovery and post-join audits only *)
   heap : Heap.t;
   views : Pmem.t array;  (* one per worker domain *)
   pool : Spec_mt.t;
-  gcs : Group_commit.t array;  (* one per shard, driven by its domain *)
+  execs : Shard.t array;  (* one per shard, driven by its domain *)
   adm : (int * Service.op * int) Admission.t array;  (* router-side *)
   addr_of_key : Addr.t array;
-  owner : int array;  (* key -> shard *)
-  owned_keys : int array array;  (* shard -> its keys, ascending *)
-  shadow : bool;  (* DRAM mirrors on the ordered index *)
   mutable oidx : Oindex.t;  (* per-shard ordered index; rebuilt on recover *)
   req_rings : msg Spsc.t array;  (* router -> domain *)
   ack_rings : comp Spsc.t array;  (* domain -> router *)
 }
 
-let shard_of_key t k = t.owner.(k)
+let shard_of_key t k = Shard.route ~shards:t.cfg.shards k
 let domain_of_shard t s = s mod t.cfg.domains
 
 (* Clamp a footprint-triggered reclaim so compaction fires well inside
@@ -93,7 +89,7 @@ let clamp_reclaim params ~log_region_bytes =
       }
   | Spec_soft.Adaptive _ -> params
 
-let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
+let create ?(params = Spec_soft.default_params) t_heap cfg =
   if cfg.shards < 1 || cfg.shards > Spec_mt.max_threads then
     Fmt.invalid_arg "Dataplane.create: 1-%d shards" Spec_mt.max_threads;
   if cfg.domains < 1 || cfg.domains > cfg.shards then
@@ -106,14 +102,7 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
     invalid_arg "Dataplane.create: log_region_bytes < 64 KiB";
   let params = clamp_reclaim params ~log_region_bytes:cfg.log_region_bytes in
   let pm = Heap.pmem t_heap in
-  let owner = Array.init cfg.keys (Service.route ~shards:cfg.shards) in
-  (* per-shard ownership tables, built once: ascending owned-key rows
-     (formatting + adoption iterate them) *)
-  let owned_rev = Array.make cfg.shards [] in
-  for k = cfg.keys - 1 downto 0 do
-    owned_rev.(owner.(k)) <- k :: owned_rev.(owner.(k))
-  done;
-  let owned_keys = Array.map Array.of_list owned_rev in
+  let owned_keys = Shard.rows ~shards:cfg.shards ~keys:cfg.keys in
   (* Parent-side formatting: per-shard line-aligned key regions (packed
      cells, so a shard's keys share lines only with each other) and
      per-shard carved log regions. *)
@@ -146,50 +135,29 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
     Spec_mt.create ~params ~runtime_heaps:sub_heaps t_heap
       ~threads:cfg.shards
   in
-  let gcs =
-    Array.init cfg.shards (fun s ->
-        Group_commit.create ~backend:(Spec_mt.thread pool s)
-          ~rt:(Spec_mt.runtime pool s))
-  in
-  (* Adoption (Section 4.3.2), exactly as the serial service: one
-     committed transaction per shard writes 0 to every owned key, so a
-     cell is always logged before its first client write.  Runs on the
-     router through each shard's view — before any worker spawns, so
-     the spawn provides the happens-before edge. *)
-  Array.iteri
-    (fun s row ->
-      match row with
-      | [||] -> ()
-      | row ->
-          (Spec_mt.thread pool s).Specpmt_txn.Ctx.run_tx (fun ctx ->
-              Array.iter
-                (fun k -> ctx.Specpmt_txn.Ctx.write addr_of_key.(k) 0)
-                row))
-    owned_keys;
+  (* Adoption runs on the router through each shard's view — before any
+     worker spawns, so the spawn provides the happens-before edge. *)
+  Shard.adopt pool ~addr:addr_of_key owned_keys;
   (* The ordered index: per-shard trees allocate from the carved
      sub-heaps through the shards' views (line-disjoint like the key
      cells), the directory and root slot go through the parent — whose
      cache must be detached again before any worker forks, since the
      directory write and its heap allocation dirtied parent lines. *)
-  let oidx =
-    Oindex.create ~shadow t_heap ~pool ~shards:cfg.shards ~keys:cfg.keys
-  in
+  let oidx = Oindex.create t_heap ~pool ~shards:cfg.shards ~keys:cfg.keys in
   Pmem.detach_cache pm;
   let spd = (cfg.shards + cfg.domains - 1) / cfg.domains in
   let ring_cap = (spd * cfg.depth) + 8 in
   {
     cfg;
-    params;
     pm;
     heap = t_heap;
     views;
     pool;
-    gcs;
+    execs =
+      Array.init cfg.shards (fun id ->
+          Shard.create pool ~id ~addr:addr_of_key oidx);
     adm = Array.init cfg.shards (fun _ -> Admission.create ~depth:cfg.depth);
     addr_of_key;
-    owner;
-    owned_keys;
-    shadow;
     oidx;
     req_rings =
       Array.init cfg.domains (fun _ ->
@@ -255,91 +223,60 @@ type report = {
 }
 
 exception Halted
+exception Worker_failed
 
 let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
     t stream =
   let cfg = t.cfg in
   let n_ops = Array.length stream in
-  Array.iter
-    (fun (k, op) ->
-      if k < 0 || k >= cfg.keys then invalid_arg "Dataplane.run: bad key";
-      match op with
-      | Service.Scan len when len < 1 ->
-          invalid_arg "Dataplane.run: scan length < 1"
-      | _ -> ())
-    stream;
+  Array.iter (fun (k, op) -> Shard.validate ~keys:cfg.keys k op) stream;
   let before = Array.map (fun v -> Stats.copy (Pmem.stats v)) t.views in
+  (* set by a worker that raises: the router polls it in every wait loop
+     and the other workers stop on it, so the join re-raises the
+     worker's exception instead of the router spinning on lost acks *)
+  let failed = Atomic.make false in
   let worker d () =
-    (* one transaction closure per worker, reused for every op: the
-       per-op state flows through the captured cells, so the batch loop
-       allocates only the two completion arrays the router needs anyway *)
-    let cur_key = ref 0
-    and cur_shard = ref 0
-    and cur_op = ref Service.Read
-    and cur_res = ref 0 in
-    let job ctx =
-      match !cur_op with
-      | Service.Write v ->
-          let a = t.addr_of_key.(!cur_key) in
-          (* first client write indexes the key in the shard's tree —
-             same transaction, and the tree nodes live in the shard's
-             carved sub-heap, so the worker stays on its own lines *)
-          Oindex.ensure ctx t.oidx ~shard:!cur_shard ~key:!cur_key ~addr:a;
-          ctx.Specpmt_txn.Ctx.write a v;
-          cur_res := v
-      | Service.Read ->
-          cur_res := ctx.Specpmt_txn.Ctx.read t.addr_of_key.(!cur_key)
-      | Service.Rmw d ->
-          (* one transaction: read + dependent write under one record *)
-          let a = t.addr_of_key.(!cur_key) in
-          Oindex.ensure ctx t.oidx ~shard:!cur_shard ~key:!cur_key ~addr:a;
-          let v = ctx.Specpmt_txn.Ctx.read a + d in
-          ctx.Specpmt_txn.Ctx.write a v;
-          cur_res := v
-      | Service.Scan len ->
-          (* ordered scan over this shard's Pbtree (same semantics as
-             the serial service): only this shard's lines are touched *)
-          cur_res :=
-            Oindex.scan ctx t.oidx ~shard:!cur_shard ~anchor:!cur_key ~len
-    in
     let running = ref true in
-    while !running do
-      match Spsc.try_pop t.req_rings.(d) with
-      | Some (Batch { b_shard; b_reqs }) ->
-          let gc = t.gcs.(b_shard) in
-          let m = Array.length b_reqs in
-          let cp_idx = Array.make m 0 and cp_vals = Array.make m 0 in
-          Group_commit.batch_begin gc;
-          for i = 0 to m - 1 do
-            let key, op, idx = b_reqs.(i) in
-            cur_key := key;
-            cur_shard := b_shard;
-            cur_op := op;
-            Group_commit.exec gc job;
-            cp_idx.(i) <- idx;
-            cp_vals.(i) <- !cur_res
-          done;
-          Group_commit.batch_end gc ~n:m;
-          let comp = { cp_shard = b_shard; cp_idx; cp_vals } in
-          (* sized so this never blocks while the router is halted: the
-             admission depth bounds outstanding completions per shard *)
-          while not (Spsc.try_push t.ack_rings.(d) comp) do
-            Domain.cpu_relax ()
-          done
-      | Some (Stop { detach }) ->
-          if detach then begin
-            (* clean stop: flush this domain's shadow-mirror counter
-               deltas into its domain-local registry so they ride the
-               normal export/absorb merge at join *)
-            for s = 0 to cfg.shards - 1 do
-              if domain_of_shard t s = d then
-                Oindex.publish_shadow t.oidx ~shard:s
+    try
+      while !running && not (Atomic.get failed) do
+        match Spsc.try_pop t.req_rings.(d) with
+        | Some (Batch { b_shard; b_reqs }) ->
+            let sh = t.execs.(b_shard) in
+            let m = Array.length b_reqs in
+            let cp_idx = Array.make m 0 and cp_vals = Array.make m 0 in
+            Shard.batch_begin sh;
+            for i = 0 to m - 1 do
+              let key, op, idx = b_reqs.(i) in
+              cp_idx.(i) <- idx;
+              cp_vals.(i) <- Shard.exec sh ~key op
             done;
-            Pmem.detach_cache t.views.(d)
-          end;
-          running := false
-      | None -> Domain.cpu_relax ()
-    done
+            Shard.batch_end sh ~n:m;
+            let comp = { cp_shard = b_shard; cp_idx; cp_vals } in
+            (* sized so this never blocks while the router is halted: the
+               admission depth bounds outstanding completions per shard *)
+            while
+              (not (Spsc.try_push t.ack_rings.(d) comp))
+              && not (Atomic.get failed)
+            do
+              Domain.cpu_relax ()
+            done
+        | Some (Stop { detach }) ->
+            if detach then begin
+              (* clean stop: flush this domain's shadow-mirror counter
+                 deltas into its domain-local registry so they ride the
+                 normal export/absorb merge at join *)
+              for s = 0 to cfg.shards - 1 do
+                if domain_of_shard t s = d then
+                  Oindex.publish_shadow t.oidx ~shard:s
+              done;
+              Pmem.detach_cache t.views.(d)
+            end;
+            running := false
+        | None -> Domain.cpu_relax ()
+      done
+    with e ->
+      Atomic.set failed true;
+      raise e
   in
   let wall0 = Unix.gettimeofday () in
   let workers = Array.init cfg.domains (fun d -> Par.spawn (worker d)) in
@@ -351,6 +288,10 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
   let rmws = ref 0 and scans = ref 0 in
   let stalls = ref 0 in
   let batches_sent = ref 0 in
+  let idle () =
+    if Atomic.get failed then raise Worker_failed;
+    Domain.cpu_relax ()
+  in
   let drain_acks () =
     let got = ref false in
     Array.iter
@@ -387,7 +328,7 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
     let msg = Batch { b_shard = s; b_reqs = Array.of_list reqs } in
     let ring = t.req_rings.(domain_of_shard t s) in
     while not (Spsc.try_push ring msg) do
-      if not (drain_acks ()) then Domain.cpu_relax ()
+      if not (drain_acks ()) then idle ()
     done;
     incr batches_sent;
     if !batches_sent >= halt_after_batches then raise Halted
@@ -397,16 +338,24 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
     | [] -> ()
     | reqs -> send s reqs
   in
-  let halted =
+  let stop ~detach =
+    Array.iter
+      (fun ring ->
+        while not (Spsc.try_push ring (Stop { detach })) do
+          idle ()
+        done)
+      t.req_rings
+  in
+  let route () =
     match
       Array.iteri
         (fun idx (key, op) ->
-          let s = t.owner.(key) in
+          let s = shard_of_key t key in
           (* closed-loop backpressure: wait for shard capacity *)
           let stalled = ref false in
           while Admission.inflight t.adm.(s) >= cfg.depth do
             stalled := true;
-            if not (drain_acks ()) then Domain.cpu_relax ()
+            if not (drain_acks ()) then idle ()
           done;
           if !stalled then incr stalls;
           enq_wall.(idx) <- Unix.gettimeofday ();
@@ -427,27 +376,19 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
           Array.fold_left (fun n a -> n + Admission.inflight a) 0 t.adm
         in
         while inflight () > 0 do
-          if not (drain_acks ()) then Domain.cpu_relax ()
+          if not (drain_acks ()) then idle ()
         done;
-        Array.iter
-          (fun ring ->
-            while not (Spsc.try_push ring (Stop { detach = true })) do
-              Domain.cpu_relax ()
-            done)
-          t.req_rings;
+        stop ~detach:true;
         false
     | exception Halted ->
         (* crash drill: stop immediately — no partial flush, no ack
            drain; workers exit without detaching, leaving their unflushed
            in-place updates to die with the caches *)
-        Array.iter
-          (fun ring ->
-            while not (Spsc.try_push ring (Stop { detach = false })) do
-              Domain.cpu_relax ()
-            done)
-          t.req_rings;
+        stop ~detach:false;
         true
   in
+  (* on a worker failure the join re-raises that worker's exception *)
+  let halted = try route () with Worker_failed -> false in
   ignore (Par.join_all workers);
   let wall_s = Unix.gettimeofday () -. wall0 in
   let diffs =
@@ -460,8 +401,8 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
           d_shard = s;
           d_domain = domain_of_shard t s;
           d_ops = acked.(s);
-          d_batches = Group_commit.batches t.gcs.(s);
-          d_sealed = Group_commit.sealed_records t.gcs.(s);
+          d_batches = Shard.batches t.execs.(s);
+          d_sealed = Shard.sealed_records t.execs.(s);
         })
   in
   let fsum f = Array.fold_left (fun a d -> a +. f d) 0.0 diffs in
@@ -506,7 +447,6 @@ let recover t =
      reattach of every runtime through its own (now empty) view *)
   Spec_mt.recover t.pool;
   Array.iter Admission.clear t.adm;
-  Array.iter Group_commit.reset t.gcs;
   (* a halted run leaves undrained completions (and, in principle,
      unconsumed stops) in the rings; they died with the crash *)
   let drain ring = while Spsc.try_pop ring <> None do () done in
@@ -517,8 +457,8 @@ let recover t =
      mirrors through the shards' own views (all reads are unmetered
      peeks, so the parent cache stays clean) *)
   t.oidx <-
-    Oindex.recover ~shadow:t.shadow ~pool:t.pool t.heap ~shards:t.cfg.shards
-      ~keys:t.cfg.keys;
+    Oindex.recover ~pool:t.pool t.heap ~shards:t.cfg.shards ~keys:t.cfg.keys;
+  Array.iter (fun s -> Shard.reset s t.oidx) t.execs;
   (* the replayed cells sit clean in the parent cache: hand them back
      to the views before the next run dirties those lines *)
   Pmem.detach_cache t.pm

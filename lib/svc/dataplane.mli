@@ -5,9 +5,9 @@
     ({!Loadgen.op_stream}), forms per-shard batches positionally (flush
     at [batch_max], partials at stream end) and hands them over
     {!Spsc} rings to [domains] resident worker domains; shard [s] runs
-    on domain [s mod domains], which owns the shard's
-    {!Specpmt_backends.Spec_soft} runtime, group-commit batcher, carved
-    log sub-heap and — shared with its other shards — one incoherent
+    on domain [s mod domains], which drives the shard's {!Shard}
+    executor over its carved log sub-heap and — shared with its other
+    shards — one incoherent
     {!Specpmt_pmem.Pmem.fork_view} of the single media image.  Media
     access is partitioned by cache line (key regions, log regions and
     log-head root slots are all line-disjoint per shard), admission and
@@ -42,17 +42,17 @@ val default_log_region_bytes : int
 
 type t
 
-val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
+val create : ?params:Spec_soft.params -> Heap.t -> config -> t
 (** Build the plane on a freshly formatted root heap: allocates
     line-aligned per-shard key regions, carves per-shard log regions,
     detaches the parent cache, forks one view per domain, builds the
-    partitioned {!Specpmt_backends.Spec_mt} pool, runs the per-shard
-    adoption transactions and creates the per-shard ordered index
-    ({!Oindex.create} — tree nodes in the carved sub-heaps, directory
-    under root slot {!Specpmt_backends.Slots.svc_index}).  [shadow]
-    (default [true]) mirrors each shard's tree in DRAM, built through
-    the shard's own view; workers publish the [shadow.*] counter
-    deltas on clean stop, before detaching their caches.  A
+    partitioned {!Specpmt_backends.Spec_mt} pool, runs the adoption
+    transactions ({!Shard.adopt}) and creates the per-shard ordered
+    index ({!Oindex.create} — tree nodes in the carved sub-heaps,
+    directory under root slot {!Specpmt_backends.Slots.svc_index}),
+    always with its DRAM mirrors, built through each shard's own view;
+    workers publish the [shadow.*] counter deltas on clean stop, before
+    detaching their caches.  A
     [Threshold] reclaim trigger is clamped to a quarter of the log
     region so compaction keeps each shard's chain inside its carved
     region. *)
@@ -100,15 +100,14 @@ val run :
 (** Spawn the workers, route the stream, join.  A clean run waits out
     every inflight op and detaches each worker's cache, so the parent
     afterwards observes the merged image ({!peek}, [table_crc]).
-    Raises [Invalid_argument] on an out-of-range key or a
-    {!Service.op.Scan} of length < 1.
+    Raises [Invalid_argument], before any op runs, when {!Shard.validate}
+    rejects an op of the stream.  A worker that raises fails the run:
+    the router stops, joins every worker and re-raises that exception;
+    the plane must then be crashed and recovered (or dropped).
 
-    All four op kinds run as single transactions on the owning shard's
-    domain; {!Service.op.Scan} walks the shard's persistent ordered
-    index ({!Oindex.scan}), whose tree nodes live in the shard's carved
-    sub-heap — scans and index maintenance only ever touch lines the
-    owning domain already holds, so the per-line ownership discipline
-    is untouched.
+    Each op runs through {!Shard.exec} on the owning shard's domain;
+    index maintenance and scans touch only tree nodes in the shard's
+    carved sub-heap, so the per-line ownership discipline holds.
 
     [halt_after_batches = n] is the deterministic crash drill: the
     router stops submitting the moment the [n]-th batch has been sent

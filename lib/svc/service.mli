@@ -1,9 +1,10 @@
-(** The sharded transactional KV service (tentpole components (a)–(c)).
+(** The sharded transactional KV service, the inline driver of the
+    per-shard executor {!Shard}.
 
     Keys hash to one of [shards] shards (router); each shard owns one
     per-thread {!Specpmt_backends.Spec_soft} runtime of a
     {!Specpmt_backends.Spec_mt} pool, a bounded {!Admission} queue and a
-    {!Group_commit} batcher.  The store is a flat table of [keys] 8-byte
+    {!Shard} executor.  The store is a flat table of [keys] 8-byte
     cells in the persistent heap, partitioned by the shard hash so
     shards never contend on a cell and the per-thread logs stay
     disjoint.
@@ -20,24 +21,8 @@
 open Specpmt_pmalloc
 open Specpmt_backends
 
-type op =
-  | Read  (** point read of the key's cell *)
-  | Write of int  (** blind write (YCSB update/insert) *)
-  | Rmw of int
-      (** read-modify-write as a {e single} transaction: read the cell,
-          add the delta, write it back under the same speculative record
-          (YCSB-F's workhorse); the completion value is the new cell
-          value *)
-  | Scan of int
-      (** ordered scan of up to [len >= 1] {e populated} keys (keys
-          some client write has touched), served by the shard's
-          persistent {!Specpmt_pstruct.Pbtree} via {!Oindex.scan}:
-          walks the tree from the smallest populated key [>= anchor]
-          in ascending key order, never crossing a shard, so cell
-          ownership and the data plane's line-disjointness hold; the
-          completion value is the order-sensitive checksum
-          [acc = (acc*31 + key + value) land max_int] over the window
-          (0 when no populated key follows the anchor in its shard) *)
+type op = Shard.op = Read | Write of int | Rmw of int | Scan of int
+(** The four op kinds; semantics in {!Shard.op}. *)
 
 type request = { client : int; key : int; op : op; enq_ns : float }
 
@@ -61,22 +46,19 @@ type config = {
 type t
 
 val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
-(** Build the service on a formatted pool: allocates the key table,
-    runs one {e adoption} transaction per shard (writing 0 to every
-    owned key) so that every cell is logged before its first client
-    write — Section 4.3.2's precondition for revoking uncommitted
-    in-place updates — and creates the per-shard ordered index
+(** Build the service on a formatted pool: allocates the key table
+    (key [k] at [base + 8k]), runs the adoption transactions
+    ({!Shard.adopt}) and creates the per-shard ordered index
     ({!Oindex.create}), persisting its directory under root slot
-    {!Specpmt_backends.Slots.svc_index}.  Adoption does not populate
-    the index: only client writes do.  [shadow] (default [true])
+    {!Specpmt_backends.Slots.svc_index}.  [shadow] (default [true])
     mirrors each shard's tree in DRAM (see {!Oindex.create}); pass
     [false] to measure the unmirrored baseline. *)
 
 val submit :
   t -> client:int -> key:int -> op -> Admission.verdict
 (** Route to the owning shard and admit or shed (sheds bump the
-    [svc.rejected] counter).  Raises [Invalid_argument] on an
-    out-of-range key or a [Scan] of length < 1. *)
+    [svc.rejected] counter).  Raises [Invalid_argument] on an op
+    {!Shard.validate} rejects. *)
 
 val drain : ?on_ack:(completion -> unit) -> t -> completion list
 (** Execute every admitted request: per shard, dequeue up to
@@ -91,10 +73,7 @@ val recover : t -> unit
     ({!Oindex.recover}). *)
 
 val route : shards:int -> int -> int
-(** The pure router hash: 32-bit Fibonacci (Knuth multiplicative)
-    hashing of the key, reduced mod [shards].  Shared by the serial
-    service and the shard-per-domain data plane so both agree on key
-    ownership. *)
+(** {!Shard.route}, the router hash both drivers share. *)
 
 val shard_of_key : t -> int -> int
 (** [route ~shards:(config t).shards]. *)

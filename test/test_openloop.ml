@@ -292,11 +292,7 @@ let test_rmw_scan_semantics () =
   | [] -> ()
   | k :: _ ->
       Alcotest.(check int) "scan past the populated set is 0" 0
-        (submit_drain k (Service.Scan 4)));
-  Alcotest.(check bool) "scan 0 raises" true
-    (match Service.submit svc ~client:0 ~key:5 (Service.Scan 0) with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+        (submit_drain k (Service.Scan 4)))
 
 (* ---------- open-loop schedules ---------- *)
 
@@ -467,6 +463,44 @@ let test_dataplane_scenario_invariant () =
         true (fp1 = run 3))
     [ Scenario.E; Scenario.F ]
 
+(* ---------- both drivers reject invalid ops ---------- *)
+
+(* Invalid ops raise from both drivers, which share one check; the data
+   plane checks the whole stream before any op runs, so a bad op at the
+   end of a stream leaves the table untouched and seals no batch. *)
+
+let test_invalid_ops_raise () =
+  let keys = 128 in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, key, op) ->
+      let _, svc =
+        mk_svc { Service.shards = 4; batch_max = 4; depth = 16; keys }
+      in
+      Alcotest.(check bool) ("Service.submit: " ^ name) true
+        (raises (fun () -> Service.submit svc ~client:0 ~key op));
+      let _, plane = mk_plane ~keys ~domains:2 () in
+      let table () = Array.init keys (Dataplane.peek plane) in
+      let before = table () in
+      let stream =
+        Array.append
+          (Array.init 16 (fun k -> (k, Service.Write (100 + k))))
+          [| (key, op) |]
+      in
+      Alcotest.(check bool) ("Dataplane.run: " ^ name) true
+        (raises (fun () -> Dataplane.run plane stream));
+      Alcotest.(check (array int))
+        (name ^ ": table unchanged") before (table ());
+      Alcotest.(check int) (name ^ ": no batch sealed") 0
+        (Dataplane.run plane [||]).Dataplane.batches)
+    [
+      ("key -1", -1, Service.Read);
+      ("key = keys", keys, Service.Write 1);
+      ("scan 0", 5, Service.Scan 0);
+    ]
+
 (* ---------- recovery under load ---------- *)
 
 let test_recovery_under_load () =
@@ -530,6 +564,8 @@ let () =
             test_scenario_mixes;
           Alcotest.test_case "rmw and scan semantics" `Quick
             test_rmw_scan_semantics;
+          Alcotest.test_case "invalid ops raise in both drivers" `Quick
+            test_invalid_ops_raise;
         ] );
       ( "openloop",
         [

@@ -604,6 +604,123 @@ let test_dataplane_modelled_speedup () =
     true
     (ns1 >= 2.0 *. ns4)
 
+(* A worker that raises must fail the run, not strand the router: a
+   64 KiB log region cannot hold this write stream, so the worker's log
+   allocation raises [Out_of_memory] mid-stream, and a router that does
+   not watch for worker failure spins forever waiting for its acks.
+   The watchdog turns a hang into a failure instead of a stuck CI job. *)
+
+exception Watchdog
+
+let test_dataplane_worker_death () =
+  let pm = Pmem.create ~seed:21 Config.default in
+  let cfg =
+    {
+      Dataplane.shards = 2;
+      domains = 1;
+      batch_max = 8;
+      depth = 32;
+      keys = 1000;
+      log_region_bytes = 1 lsl 16;
+    }
+  in
+  let plane = Dataplane.create (Heap.create pm) cfg in
+  let stream =
+    Array.init 2000 (fun i -> ((i * 7919) mod 1000, Service.Write i))
+  in
+  let prev =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Watchdog))
+  in
+  ignore (Unix.alarm 10);
+  let outcome =
+    match Dataplane.run plane stream with
+    | _ -> Some "run completed although the worker died"
+    | exception Out_of_memory -> None
+    | exception Watchdog -> Some "run hung after the worker died"
+    | exception e -> Some ("unexpected " ^ Printexc.to_string e)
+  in
+  ignore (Unix.alarm 0);
+  Sys.set_signal Sys.sigalrm prev;
+  Option.iter Alcotest.fail outcome
+
+(* ---------- one executor behind both drivers ---------- *)
+
+(* The serial service and the data plane run the same per-shard
+   executor over different key layouts and batch shapes.  Shards are
+   disjoint and each runs its ops in stream order, so every completion
+   value (read value, Rmw new value, Scan checksum) and the final table
+   must agree op by op, whatever the batching or domain count. *)
+
+let equiv_keys = 256
+
+let service_values stream =
+  let _, svc =
+    mk_svc { Service.shards = 4; batch_max = 8; depth = 16; keys = equiv_keys }
+  in
+  let got = Array.make (Array.length stream) min_int in
+  let on_ack (c : Service.completion) =
+    got.(c.Service.c_client) <- c.Service.value
+  in
+  Array.iteri
+    (fun idx (key, op) ->
+      (* submit until the admission depth sheds, drain, resubmit *)
+      match Service.submit svc ~client:idx ~key op with
+      | Admission.Accepted -> ()
+      | Admission.Rejected _ -> (
+          ignore (Service.drain ~on_ack svc);
+          match Service.submit svc ~client:idx ~key op with
+          | Admission.Accepted -> ()
+          | Admission.Rejected _ -> Alcotest.fail "shed after a drain"))
+    stream;
+  ignore (Service.drain ~on_ack svc);
+  (got, Array.init equiv_keys (Service.peek svc))
+
+let dataplane_values ~domains stream =
+  let pm = Pmem.create ~seed:21 Config.default in
+  let cfg =
+    {
+      Dataplane.shards = 4;
+      domains;
+      batch_max = 4;
+      depth = 16;
+      keys = equiv_keys;
+      log_region_bytes = 1 lsl 18;
+    }
+  in
+  let plane = Dataplane.create (Heap.create pm) cfg in
+  let got = Array.make (Array.length stream) min_int in
+  let r =
+    Dataplane.run ~on_ack:(fun ~idx ~value -> got.(idx) <- value) plane stream
+  in
+  Alcotest.(check int) "every op acked" (Array.length stream)
+    r.Dataplane.total_ops;
+  (got, Array.init equiv_keys (Dataplane.peek plane))
+
+let test_drivers_agree () =
+  List.iter
+    (fun mix ->
+      let stream =
+        Scenario.op_stream
+          (Scenario.spec ~scan_max:8 mix)
+          ~ops:400 ~keys:equiv_keys ~seed:11
+      in
+      let name = Scenario.mix_to_string mix in
+      let vals, table = service_values stream in
+      List.iter
+        (fun domains ->
+          let dvals, dtable = dataplane_values ~domains stream in
+          Array.iteri
+            (fun i v ->
+              if v <> dvals.(i) then
+                Alcotest.failf "mix %s, %d domains, op %d: service %d, plane %d"
+                  name domains i v dvals.(i))
+            vals;
+          Alcotest.(check (array int))
+            (Printf.sprintf "mix %s, %d domains: final table" name domains)
+            table dtable)
+        [ 1; 2 ])
+    Scenario.all_mixes
+
 let () =
   Alcotest.run "svc"
     [
@@ -656,5 +773,12 @@ let () =
             test_dataplane_crash_audit;
           Alcotest.test_case "modelled makespan >= 2x at 4 domains" `Quick
             test_dataplane_modelled_speedup;
+          Alcotest.test_case "worker death fails the run, no hang" `Quick
+            test_dataplane_worker_death;
+        ] );
+      ( "shard",
+        [
+          Alcotest.test_case "service and data plane agree op by op (A-F)"
+            `Quick test_drivers_agree;
         ] );
     ]
