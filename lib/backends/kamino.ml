@@ -24,8 +24,8 @@ type t = {
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
-  if first then Intent_log.append_durable t.log [ a ];
+  ignore (Write_set.record t.ws a ~old_value);
+  if Write_set.fresh t.ws then Intent_log.append_durable t.log [ a ];
   Pmem.store_int t.pm a v
 
 (* Commit: clear the intent list with one barrier.  No data flushes — the

@@ -23,8 +23,8 @@ type t = {
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
-  if first then Intent_log.append_durable t.log [ a; old_value ];
+  ignore (Write_set.record t.ws a ~old_value);
+  if Write_set.fresh t.ws then Intent_log.append_durable t.log [ a; old_value ];
   Pmem.store_int t.pm a v
 
 let commit t =

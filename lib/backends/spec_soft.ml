@@ -82,23 +82,26 @@ let bump_live t b d =
 (* Merge the committed (or rolled-back-and-committed) write set into the
    volatile index at the record's timestamp.  [last_value]/[entry_block]
    were captured on the write path, so this is pure DRAM bookkeeping — no
-   device traffic. *)
+   device traffic.  A [for] loop, not [iter_in_order]: no closure per
+   commit. *)
 let index_commit t ts =
-  Write_set.iter_in_order t.ws (fun a slot ->
-      (match Hashtbl.find t.vindex a with
-      | c ->
-          bump_live t c.block (-1);
-          c.v <- slot.Write_set.last_value;
-          c.ts <- ts;
-          c.block <- slot.Write_set.entry_block
-      | exception Not_found ->
-          Hashtbl.replace t.vindex a
-            {
-              v = slot.Write_set.last_value;
-              ts;
-              block = slot.Write_set.entry_block;
-            });
-      bump_live t slot.Write_set.entry_block 1)
+  for i = 0 to Write_set.size t.ws - 1 do
+    let a = Write_set.nth_addr t.ws i and slot = Write_set.nth_slot t.ws i in
+    (match Hashtbl.find t.vindex a with
+    | c ->
+        bump_live t c.block (-1);
+        c.v <- slot.Write_set.last_value;
+        c.ts <- ts;
+        c.block <- slot.Write_set.entry_block
+    | exception Not_found ->
+        Hashtbl.replace t.vindex a
+          {
+            v = slot.Write_set.last_value;
+            ts;
+            block = slot.Write_set.entry_block;
+          });
+    bump_live t slot.Write_set.entry_block 1
+  done
 
 (* Rebuild the volatile index from the log itself (attach/recover paths).
    When the caller already holds a coalesced recovery index it is reused;
@@ -175,12 +178,14 @@ let reclaim_count t = t.reclaims
    first — and remember the newest clean-start boundary whose prefix is
    still stale enough to be worth evacuating.  Everything before the
    boundary is rewritten from the index; the hot tail (including the
-   append block) is never touched. *)
+   append block) is never touched.  It runs on every batch end while
+   reclamation is deferred, so it walks the chain in place instead of
+   building its list. *)
 let choose_boundary t ~stale_trigger =
   let arena = t.arena in
   let entries = ref 0 and live = ref 0 and blocks = ref 0 in
   let best = ref None in
-  List.iter
+  Log_arena.iter_chain arena
     (fun b ->
       if
         !blocks > 0 && !entries > 0
@@ -190,8 +195,7 @@ let choose_boundary t ~stale_trigger =
       then best := Some (b, !blocks, !live);
       entries := !entries + Log_arena.entries_in_block arena b;
       live := !live + live_in_block t b;
-      incr blocks)
-    (Log_arena.chain arena);
+      incr blocks);
   !best
 
 (* Indexed reclamation: build the timestamp-ascending live groups straight
@@ -290,7 +294,7 @@ let maybe_reclaim t =
           | None -> live_cells t
         in
         let est_ns = float_of_int to_copy *. 30.0 in
-        let allowed = bg_duty *. (Pmem.stats t.pm).Stats.ns in
+        let allowed = bg_duty *. Pmem.now t.pm in
         if t.bg_spent +. est_ns > allowed then
           (* the background core is over its duty cycle: defer, the
              pressure check will fire again on a later commit *)
@@ -304,8 +308,8 @@ let maybe_reclaim t =
 (* ---------- Transactions ---------- *)
 
 let tx_write t a v =
-  let slot, first = Write_set.record t.ws a ~old_value:(Pmem.load_int t.pm a) in
-  if first then begin
+  let slot = Write_set.record t.ws a ~old_value:(Pmem.load_int t.pm a) in
+  if Write_set.fresh t.ws then begin
     slot.Write_set.entry_pos <-
       Log_arena.add_entry t.arena ~target:a ~value:v;
     slot.Write_set.entry_block <- Log_arena.current_block t.arena

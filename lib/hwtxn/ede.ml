@@ -24,7 +24,8 @@ type t = {
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
+  ignore (Write_set.record t.ws a ~old_value);
+  let first = Write_set.fresh t.ws in
   (* coalesce: one undo record per word, but skip the whole path when the
      line has already been logged and the word re-written *)
   if first then begin

@@ -131,7 +131,8 @@ let tx_write t a v =
   let page = Addr.page_index a in
   let e = Tlb.access t.tlb ~page in
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
+  ignore (Write_set.record t.ws a ~old_value);
+  let first = Write_set.fresh t.ws in
   let tag = L1tags.touch t.l1 ~line:(Addr.line_of a) in
   tag.L1tags.tx_dirty <- true;
   tag.L1tags.logbit <- true;

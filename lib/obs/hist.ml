@@ -1,8 +1,12 @@
 let nbuckets = 64
 
+(* The running sum sits in an all-float record of its own: a float field
+   of the mixed [t] would box on every [observe]. *)
+type sum = { mutable total : float }
+
 type t = {
   mutable count : int;
-  mutable sum : float;
+  sum : sum;
   mutable min : int;
   mutable max : int;
   buckets : int array;
@@ -17,7 +21,7 @@ type snapshot = {
 }
 
 let create () : t =
-  { count = 0; sum = 0.0; min = max_int; max = min_int;
+  { count = 0; sum = { total = 0.0 }; min = max_int; max = min_int;
     buckets = Array.make nbuckets 0 }
 
 let bucket_of v =
@@ -33,7 +37,7 @@ let bucket_hi i = if i = 0 then 0 else (1 lsl i) - 1
 
 let observe (t : t) v =
   t.count <- t.count + 1;
-  t.sum <- t.sum +. float_of_int v;
+  t.sum.total <- t.sum.total +. float_of_int v;
   if v < t.min then t.min <- v;
   if v > t.max then t.max <- v;
   let b = t.buckets in
@@ -42,7 +46,7 @@ let observe (t : t) v =
 
 let reset (t : t) =
   t.count <- 0;
-  t.sum <- 0.0;
+  t.sum.total <- 0.0;
   t.min <- max_int;
   t.max <- min_int;
   Array.fill t.buckets 0 nbuckets 0
@@ -50,7 +54,7 @@ let reset (t : t) =
 let absorb (t : t) (s : snapshot) =
   if s.count > 0 then begin
     t.count <- t.count + s.count;
-    t.sum <- t.sum +. s.sum;
+    t.sum.total <- t.sum.total +. s.sum;
     if s.min < t.min then t.min <- s.min;
     if s.max > t.max then t.max <- s.max;
     List.iter
@@ -67,7 +71,7 @@ let snapshot (t : t) : snapshot =
   done;
   {
     count = t.count;
-    sum = t.sum;
+    sum = t.sum.total;
     min = (if t.count = 0 then 0 else t.min);
     max = (if t.count = 0 then 0 else t.max);
     buckets = !buckets;

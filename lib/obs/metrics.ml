@@ -14,47 +14,50 @@ let registry () = Domain.DLS.get key
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
-let get name mk match_item =
-  let registry = registry () in
-  match Hashtbl.find_opt registry name with
-  | Some item -> (
-      match match_item item with
-      | Some v -> v
-      | None ->
-          Fmt.invalid_arg "Metrics: %S already registered as a %s" name
-            (kind_name item))
-  | None ->
-      let item, v = mk () in
-      Hashtbl.replace registry name item;
-      v
+(* Get-or-create, one per kind.  [Hashtbl.find]'s exception form keeps
+   a lookup of a registered name from boxing an option: subsystems look
+   their metrics up on hot paths, because a cell cached at module level
+   would belong to whichever domain created it. *)
+let already name item =
+  Fmt.invalid_arg "Metrics: %S already registered as a %s" name
+    (kind_name item)
 
 let counter name =
-  get name
-    (fun () ->
+  let r = registry () in
+  match Hashtbl.find r name with
+  | C c -> c
+  | item -> already name item
+  | exception Not_found ->
       let c = { n = 0 } in
-      (C c, c))
-    (function C c -> Some c | _ -> None)
+      Hashtbl.replace r name (C c);
+      c
 
 let incr c = c.n <- c.n + 1
 let add c k = c.n <- c.n + k
 let counter_value c = c.n
 
 let gauge name =
-  get name
-    (fun () ->
+  let r = registry () in
+  match Hashtbl.find r name with
+  | G g -> g
+  | item -> already name item
+  | exception Not_found ->
       let g = { g = 0.0 } in
-      (G g, g))
-    (function G g -> Some g | _ -> None)
+      Hashtbl.replace r name (G g);
+      g
 
 let set_gauge g v = g.g <- v
 let gauge_value g = g.g
 
 let histogram name =
-  get name
-    (fun () ->
+  let r = registry () in
+  match Hashtbl.find r name with
+  | H h -> h
+  | item -> already name item
+  | exception Not_found ->
       let h = Hist.create () in
-      (H h, h))
-    (function H h -> Some h | _ -> None)
+      Hashtbl.replace r name (H h);
+      h
 
 let reset_all () =
   Hashtbl.iter

@@ -26,7 +26,7 @@ let set_capacity n =
 let enabled () = Array.length (st ()).ring > 0
 let clear () = set_capacity (Array.length (st ()).ring)
 
-let emit ?(a = 0) ?(b = 0) label =
+let emit ~a ~b label =
   let s = st () in
   let r = s.ring in
   let n = Array.length r in

@@ -28,9 +28,11 @@ val set_capacity : int -> unit
 
 val enabled : unit -> bool
 
-val emit : ?a:int -> ?b:int -> string -> unit
-(** Record an event ([a], [b] default to 0).  No-op when disabled; the
-    label should be a literal so no formatting happens on the hot path. *)
+val emit : a:int -> b:int -> string -> unit
+(** Record an event.  No-op when disabled; the label should be a literal
+    so no formatting happens on the hot path.  [a] and [b] are plain
+    (not optional) arguments, so a call boxes nothing when tracing is
+    off. *)
 
 val clear : unit -> unit
 

@@ -29,8 +29,16 @@ type media =
    eviction order is an intrusive doubly-linked list threaded through
    [fifo_next]/[fifo_prev] by slot id, so invalidation (clflushopt,
    nt-store merge) unlinks the victim and can never leave a stale queue
-   entry behind.  Free slots are a stack.  Nothing on the hit path
-   allocates. *)
+   entry behind.  Free slots are a stack.  Nothing on the access path
+   allocates: the clocks below are an all-float record (stored flat, so
+   advancing one boxes nothing), the fuse is an int countdown, and a
+   trace value is built only when the trace ring is on. *)
+type clock = {
+  mutable ns : float; (* simulated foreground time *)
+  mutable bg_ns : float; (* simulated background-core time *)
+  mutable last_completion : float; (* WPQ is a serial server *)
+}
+
 type t = {
   cfg : Config.t;
   media : media; (* shared across views; off-heap, domain-safe *)
@@ -46,7 +54,8 @@ type t = {
   mutable free_top : int;
   mutable occupied : int;
   nt_scratch : Bytes.t; (* one-line merge buffer for uncached nt-stores *)
-  stats : Stats.t;
+  stats : Stats.t; (* counters; [ns]/[bg_ns] refreshed by [stats] *)
+  clock : clock;
   rng : Random.State.t;
   (* WPQ: completion times of accepted persists.  Completions are
      strictly increasing (each starts no earlier than the previous one
@@ -55,10 +64,9 @@ type t = {
   wpq : float array;
   mutable wpq_head : int;
   mutable wpq_len : int;
-  mutable last_completion : float; (* WPQ is a serial server *)
   mutable last_persist_line : int; (* for the sequential-write fast path *)
   mutable last_read_line : int; (* for the sequential-read fast path *)
-  mutable fuse : int option;
+  mutable fuse : int; (* events left before the crash; 0 = disarmed *)
   mutable events : int; (* monotonic count of fuse-visible memory events *)
   mutable metered : bool;
   mutable crashed : bool;
@@ -98,14 +106,14 @@ let make_view cfg media seed =
     occupied = 0;
     nt_scratch = Bytes.create Addr.line_size;
     stats = Stats.create ();
+    clock = { ns = 0.0; bg_ns = 0.0; last_completion = 0.0 };
     rng = Random.State.make [| seed; 0x5ec; 0x9a7e |];
     wpq = Array.make (max 1 cfg.Config.wpq_lines) 0.0;
     wpq_head = 0;
     wpq_len = 0;
-    last_completion = 0.0;
     last_persist_line = -10;
     last_read_line = -10;
-    fuse = None;
+    fuse = 0;
     events = 0;
     metered = true;
     crashed = false;
@@ -124,11 +132,19 @@ let create ?(seed = 42) cfg =
 let fork_view ?(seed = 43) t = make_view t.cfg t.media seed
 
 let config t = t.cfg
-let stats t = t.stats
+let stats t =
+  t.stats.Stats.ns <- t.clock.ns;
+  t.stats.Stats.bg_ns <- t.clock.bg_ns;
+  t.stats
+
+let now t = t.clock.ns
 let mem_size t = t.cfg.Config.mem_size
 let crashed_once t = t.crashed
-let set_fuse t n = t.fuse <- n
-let fuse t = t.fuse
+let set_fuse t = function
+  | None -> t.fuse <- 0
+  | Some n -> t.fuse <- max 1 n
+
+let fuse t = if t.fuse = 0 then None else Some t.fuse
 let events t = t.events
 
 let set_trace t n =
@@ -140,6 +156,10 @@ let set_trace t n =
     t.trace <- Some (Array.make n Sfence);
     t.trace_pos <- 0
   end
+
+(* Callers test [tracing] before building [op], so an untraced access
+   allocates no trace value. *)
+let tracing t = t.trace <> None
 
 let record_op t op =
   match t.trace with
@@ -158,15 +178,12 @@ let recent_ops t =
 
 let burn_fuse t =
   t.events <- t.events + 1;
-  match t.fuse with
-  | None -> ()
-  | Some n -> if n <= 1 then raise Crash else t.fuse <- Some (n - 1)
+  if t.fuse > 0 then
+    if t.fuse = 1 then raise Crash else t.fuse <- t.fuse - 1
 
-let charge t ns = if t.metered then t.stats.Stats.ns <- t.stats.Stats.ns +. ns
+let charge t ns = if t.metered then t.clock.ns <- t.clock.ns +. ns
 let charge_ns = charge
-
-let charge_bg_ns t ns =
-  if t.metered then t.stats.Stats.bg_ns <- t.stats.Stats.bg_ns +. ns
+let charge_bg_ns t ns = if t.metered then t.clock.bg_ns <- t.clock.bg_ns +. ns
 
 let count f t = if t.metered then f t.stats
 
@@ -345,18 +362,22 @@ let wpq_accept t li =
     if t.wpq_len >= cfg.Config.wpq_lines then begin
       (* stall until the oldest accepted persist drains, then retire
          every entry that has completed by the stalled clock *)
+      let c = t.clock in
       let oldest = t.wpq.(t.wpq_head) in
-      if t.stats.Stats.ns < oldest then charge t (oldest -. t.stats.Stats.ns);
-      while t.wpq_len > 0 && t.wpq.(t.wpq_head) <= t.stats.Stats.ns do
+      (* added as a charge, not assigned: the clock keeps its rounding *)
+      if c.ns < oldest then c.ns <- c.ns +. (oldest -. c.ns);
+      while t.wpq_len > 0 && t.wpq.(t.wpq_head) <= c.ns do
         t.wpq_head <- (t.wpq_head + 1) mod wcap;
         t.wpq_len <- t.wpq_len - 1
       done
     end;
     charge t cfg.Config.wpq_accept_ns;
-    let start = Float.max t.stats.Stats.ns t.last_completion in
-    let completion = start +. line_write_cost t li in
-    t.last_completion <- completion;
-    t.wpq.((t.wpq_head + t.wpq_len) mod wcap) <- completion;
+    (* the drain starts when both the store and the previous drain are
+       done *)
+    let c = t.clock in
+    if c.ns > c.last_completion then c.last_completion <- c.ns;
+    c.last_completion <- c.last_completion +. line_write_cost t li;
+    t.wpq.((t.wpq_head + t.wpq_len) mod wcap) <- c.last_completion;
     t.wpq_len <- t.wpq_len + 1
   end
 
@@ -368,7 +389,7 @@ let load_int t addr =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
   burn_fuse t;
-  record_op t (Load addr);
+  if tracing t then record_op t (Load addr);
   count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
   let s = get_slot t (Addr.line_index addr) ~for_load:true in
   Int64.to_int
@@ -379,7 +400,7 @@ let store_int t addr v =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
   burn_fuse t;
-  record_op t (Store (addr, v));
+  if tracing t then record_op t (Store (addr, v));
   count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
   let s = get_slot t (Addr.line_index addr) ~for_load:false in
   Bytes.set_int64_le t.slot_data
@@ -390,7 +411,7 @@ let store_int t addr v =
 let load_bytes t addr len =
   check_bounds t addr len;
   burn_fuse t;
-  record_op t (Load_bytes (addr, len));
+  if tracing t then record_op t (Load_bytes (addr, len));
   count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
   let out = Bytes.create len in
   let pos = ref 0 in
@@ -410,7 +431,7 @@ let store_bytes t addr b =
   if len > 0 then begin
     check_bounds t addr len;
     burn_fuse t;
-    record_op t (Store_bytes (addr, len));
+    if tracing t then record_op t (Store_bytes (addr, len));
     count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
     let pos = ref 0 in
     while !pos < len do
@@ -428,7 +449,7 @@ let store_bytes t addr b =
 let clwb t addr =
   check_bounds t addr 1;
   burn_fuse t;
-  record_op t (Clwb addr);
+  if tracing t then record_op t (Clwb addr);
   count (fun s -> s.Stats.clwbs <- s.Stats.clwbs + 1) t;
   if t.metered then Specpmt_obs.Phase.on_clwb ();
   charge t t.cfg.Config.clwb_issue_ns;
@@ -457,14 +478,15 @@ let sfence t =
   record_op t Sfence;
   count (fun s -> s.Stats.fences <- s.Stats.fences + 1) t;
   if t.metered then Specpmt_obs.Phase.on_fence ();
-  let latest =
-    if t.wpq_len = 0 then t.stats.Stats.ns
-    else
-      (* completions are monotone: the tail entry is the latest *)
-      Float.max t.stats.Stats.ns
-        t.wpq.((t.wpq_head + t.wpq_len - 1) mod Array.length t.wpq)
-  in
-  if t.metered then t.stats.Stats.ns <- latest +. t.cfg.Config.fence_ns;
+  if t.metered then begin
+    let c = t.clock in
+    (* completions are monotone: the tail entry is the latest *)
+    if t.wpq_len > 0 then begin
+      let tail = t.wpq.((t.wpq_head + t.wpq_len - 1) mod Array.length t.wpq) in
+      if tail > c.ns then c.ns <- tail
+    end;
+    c.ns <- c.ns +. t.cfg.Config.fence_ns
+  end;
   t.wpq_head <- 0;
   t.wpq_len <- 0
 
@@ -477,7 +499,7 @@ let nt_store_bytes t addr b =
     if len > 0 then begin
       check_bounds t addr len;
       burn_fuse t;
-      record_op t (Nt_store (addr, len));
+      if tracing t then record_op t (Nt_store (addr, len));
       count (fun s -> s.Stats.nt_stores <- s.Stats.nt_stores + 1) t;
       if t.metered then Specpmt_obs.Phase.on_nt_store ();
       let pos = ref 0 in
@@ -551,7 +573,7 @@ let crash_with t ~persist =
         done)
     (dirty_lines t);
   clear_cache t;
-  t.fuse <- None
+  t.fuse <- 0
 
 let crash t =
   t.crashed <- true;
@@ -572,7 +594,7 @@ let crash t =
         done)
     (dirty_lines t);
   clear_cache t;
-  t.fuse <- None
+  t.fuse <- 0
 
 let with_unmetered t f =
   let saved = t.metered in

@@ -31,7 +31,21 @@ val create : ?seed:int -> Config.t -> t
 (** Fresh device, media zero-filled. *)
 
 val config : t -> Config.t
+
 val stats : t -> Stats.t
+(** The device's counters.  The record is owned by the device and
+    updated in place: its integer counters are always current, but its
+    two clocks, [ns] and [bg_ns], are copies the device writes only when
+    [stats] is called (the device keeps its clocks in an all-float
+    record, so that advancing them allocates nothing).  Read a field at
+    call time, as in [(Pmem.stats pm).Stats.ns], or take a snapshot with
+    {!Stats.copy}; a record held across later accesses has stale
+    clocks until the next [stats] call. *)
+
+val now : t -> float
+(** The simulated foreground clock, in ns — the [ns] field {!stats}
+    would report, without refreshing the record.  The cheap read for
+    per-op timestamps. *)
 
 (** {1 Per-domain views}
 
@@ -105,7 +119,9 @@ val charge_bg_ns : t -> float -> unit
 
 val set_fuse : t -> int option -> unit
 (** [set_fuse t (Some n)] makes the [n]-th subsequent memory event raise
-    {!Crash}.  [None] disarms. *)
+    {!Crash} ([n <= 1]: the next one).  [None] disarms.  The device keeps
+    the fuse as an int countdown, so an armed fuse costs no allocation
+    per event. *)
 
 val fuse : t -> int option
 (** Remaining events before the fuse burns ([None] = disarmed). *)
@@ -154,8 +170,9 @@ val pp_op : Format.formatter -> op -> unit
 
 val set_trace : t -> int -> unit
 (** Keep a ring of the [n] most recent memory events ([n <= 0]
-    disables).  For post-mortem debugging of crash-consistency failures;
-    zero cost when disabled. *)
+    disables).  For post-mortem debugging of crash-consistency failures.
+    When disabled an access builds no {!op} value, so it allocates
+    nothing. *)
 
 val recent_ops : t -> op list
 (** Traced events, oldest first. *)

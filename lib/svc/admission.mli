@@ -20,14 +20,19 @@ val create : depth:int -> 'a t
 val offer : 'a t -> 'a -> verdict
 (** Admit or shed one request (sheds are counted). *)
 
+val pop : 'a t -> 'a
+(** Dequeue the oldest request; it stays inflight until {!ack}.  Raises
+    [Invalid_argument] when nothing is queued.  Allocates nothing. *)
+
 val take_up_to : 'a t -> int -> 'a list
-(** Dequeue at most [n] requests in admission order.  The dequeued
-    requests stay inflight until {!ack}. *)
+(** Dequeue at most [n] requests in admission order, as a list; see
+    {!pop}. *)
 
 val ack : 'a t -> int -> unit
 (** Acknowledge [n] executing requests (their commit fence retired).
     Raises [Invalid_argument] if [n < 0] or [n] exceeds the inflight
-    count — a double-ack would otherwise unbound admission. *)
+    count — a double-ack would otherwise unbound admission — or the
+    executing (dequeued, unacknowledged) count. *)
 
 val clear : 'a t -> unit
 (** Post-crash: drop queued requests and zero the inflight count — they

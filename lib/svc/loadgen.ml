@@ -126,7 +126,7 @@ let run ?(on_issue = fun (_ : int * Service.op) -> ()) svc cfg =
   let retries = ref 0 in
   (* measure from here: pool setup and adoption are excluded *)
   let before = Stats.copy (Pmem.stats pm) in
-  let now () = (Pmem.stats pm).Stats.ns in
+  let now () = Pmem.now pm in
   let on_ack (c : Service.completion) =
     incr completed;
     (match c.Service.c_op with

@@ -117,7 +117,7 @@ let run svc cfg stream =
   let scfg = Service.config svc in
   let pm = Service.pm svc in
   let sched = schedule cfg ~n in
-  let dev () = (Pmem.stats pm).Stats.ns in
+  let dev () = Pmem.now pm in
   (* virtual clock = device ns + idle-jump offset: jumping to the next
      arrival when nothing is runnable costs no device time, and the
      offset is constant inside a drain, so ack timestamps translate

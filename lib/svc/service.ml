@@ -43,7 +43,11 @@ type shard = {
   adm : request Admission.t;
   exe : Shard.t;
   lat : Specpmt_obs.Hist.t;  (** per-op latency, simulated ns *)
+  batch : request array;  (** the batch [drain] runs; [batch_max] long *)
+  results : int array;  (** its op results *)
 }
+
+let no_request = { client = 0; key = 0; op = Read; enq_ns = 0.0 }
 
 type t = {
   pm : Pmem.t;
@@ -84,12 +88,14 @@ let create ?params ?(shadow = true) heap cfg =
             adm = Admission.create ~depth:cfg.depth;
             exe = Shard.create pool ~id ~addr oidx;
             lat = Specpmt_obs.Hist.create ();
+            batch = Array.make cfg.batch_max no_request;
+            results = Array.make cfg.batch_max 0;
           });
   }
 
 let config t = t.cfg
 let pm t = t.pm
-let now t = (Pmem.stats t.pm).Stats.ns
+let now t = Pmem.now t.pm
 
 let submit t ~client ~key op =
   Shard.validate ~keys:t.cfg.keys key op;
@@ -101,54 +107,60 @@ let submit t ~client ~key op =
   | Admission.Accepted -> ());
   v
 
-(* Execute one non-empty batch on shard [s]: every request becomes one
-   transaction (reads abandon their empty record and cost no fence), the
-   executor seals them under a single fence, and only then are the
-   requests acknowledged — an ack therefore always names a durable op. *)
-let exec_batch t s reqs =
-  let n = List.length reqs in
-  let results = Array.make n 0 in
+(* Execute the [n] requests popped into [s.batch]: every request becomes
+   one transaction (reads abandon their empty record and cost no fence),
+   the executor seals them under a single fence, and only then are the
+   requests acknowledged — an ack therefore always names a durable op.
+   Acks fire per batch, right after its fence: a crash later in the same
+   drain must not lose already-durable acks.  Returns [acc] with the
+   batch's completions consed on, newest first. *)
+let exec_batch t s n ~on_ack acc =
   Shard.batch_begin s.exe;
-  List.iteri (fun i r -> results.(i) <- Shard.exec s.exe ~key:r.key r.op) reqs;
+  for i = 0 to n - 1 do
+    let r = s.batch.(i) in
+    s.results.(i) <- Shard.exec s.exe ~key:r.key r.op
+  done;
   Shard.batch_end s.exe ~n;
   Admission.ack s.adm n;
   let t_ack = now t in
-  List.mapi
-    (fun i r ->
-      Specpmt_obs.Hist.observe s.lat
-        (int_of_float (t_ack -. r.enq_ns));
+  let acc = ref acc in
+  for i = 0 to n - 1 do
+    let r = s.batch.(i) in
+    Specpmt_obs.Hist.observe s.lat (int_of_float (t_ack -. r.enq_ns));
+    let c =
       {
         c_client = r.client;
         c_shard = s.id;
         c_key = r.key;
         c_op = r.op;
-        value = results.(i);
+        value = s.results.(i);
         c_enq_ns = r.enq_ns;
         ack_ns = t_ack;
-      })
-    reqs
+      }
+    in
+    on_ack c;
+    acc := c :: !acc
+  done;
+  !acc
 
 let drain ?(on_ack = fun (_ : completion) -> ()) t =
   let acc = ref [] in
   let progress = ref true in
   while !progress do
     progress := false;
-    Array.iter
-      (fun s ->
-        Metrics.set_gauge (Metrics.gauge "svc.queue_depth")
-          (float_of_int (Admission.queued s.adm));
-        match Admission.take_up_to s.adm t.cfg.batch_max with
-        | [] -> ()
-        | reqs ->
-            progress := true;
-            (* acks fire per batch, right after its fence: a crash later
-               in the same drain must not lose already-durable acks *)
-            List.iter
-              (fun c ->
-                on_ack c;
-                acc := c :: !acc)
-              (exec_batch t s reqs))
-      t.shard_tbl
+    for i = 0 to Array.length t.shard_tbl - 1 do
+      let s = t.shard_tbl.(i) in
+      let queued = Admission.queued s.adm in
+      Metrics.set_gauge (Metrics.gauge "svc.queue_depth") (float_of_int queued);
+      let n = min queued t.cfg.batch_max in
+      if n > 0 then begin
+        progress := true;
+        for j = 0 to n - 1 do
+          s.batch.(j) <- Admission.pop s.adm
+        done;
+        acc := exec_batch t s n ~on_ack !acc
+      end
+    done
   done;
   List.rev !acc
 

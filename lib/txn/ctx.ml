@@ -228,39 +228,43 @@ module Driver = struct
     close d;
     d.hooks.fns <- []
 
-  (** Run one transaction (the backend's [run_tx]). *)
+  let rec free_all heap = function
+    | [] -> ()
+    | a :: rest ->
+        Heap.free heap a;
+        free_all heap rest
+
+  (** Run one transaction (the backend's [run_tx]).  Each arm fires the
+      hooks itself, so a committed transaction allocates no outcome
+      value. *)
   let run d f =
     if d.in_tx then invalid_arg "Ctx.Driver.run: nested transaction";
     let s = Option.get d.steps in
     d.in_tx <- true;
     s.begin_tx ();
-    let outcome =
-      match f d.ctx with
-      | v ->
-          s.commit d.deferred;
-          (match s.frees with
-          | Deferred -> List.iter (Heap.free d.heap) (List.rev d.deferred)
-          | Logged | Unlogged -> ());
-          close d;
-          s.after_commit ();
-          Ok v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          (match (e, s.frees) with
-          | Abort, (Deferred | Logged) ->
-              s.rollback ();
-              List.iter (Heap.free d.heap) d.allocated;
-              close d
-          | _, Unlogged ->
-              s.rollback ();
-              close d
-          | _, (Deferred | Logged) ->
-              (* a crash: the transaction stays open until [reset] *)
-              ());
-          Error (e, bt)
-    in
-    Hooks.fire d.hooks (Result.is_ok outcome);
-    match outcome with
-    | Ok v -> v
-    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+    match f d.ctx with
+    | v ->
+        s.commit d.deferred;
+        (match s.frees with
+        | Deferred -> free_all d.heap (List.rev d.deferred)
+        | Logged | Unlogged -> ());
+        close d;
+        s.after_commit ();
+        Hooks.fire d.hooks true;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (match (e, s.frees) with
+        | Abort, (Deferred | Logged) ->
+            s.rollback ();
+            free_all d.heap d.allocated;
+            close d
+        | _, Unlogged ->
+            s.rollback ();
+            close d
+        | _, (Deferred | Logged) ->
+            (* a crash: the transaction stays open until [reset] *)
+            ());
+        Hooks.fire d.hooks false;
+        Printexc.raise_with_backtrace e bt
 end

@@ -32,6 +32,11 @@ let skip_tag = -1
 
 type entry_pos = int
 
+(* Where a [walk_entries] stopped: one past the record's entry stream and
+   the block holding that position, or [at = -1] when the stream is
+   malformed.  Mutable so the commit path can reuse one per arena. *)
+type walk_end = { mutable at : Addr.t; mutable at_block : Addr.t }
+
 type t = {
   heap : Heap.t;
   pm : Pmem.t;
@@ -81,6 +86,7 @@ type t = {
   mutable total_entries : int;
   entries_per_block : (Addr.t, int) Hashtbl.t;
   clean_starts : (Addr.t, unit) Hashtbl.t;
+  walk : walk_end; (* [commit_record]'s checksum walk *)
 }
 
 type compact_stats = {
@@ -185,15 +191,31 @@ let mk heap ~head_slot ~block_bytes b =
     total_entries = 0;
     entries_per_block = Hashtbl.create 16;
     clean_starts;
+    walk = { at = -1; at_block = -1 };
   }
 
 let total_entries t = t.total_entries
 
+(* exception form instead of [find_opt]: no option boxed per block on
+   the reclamation scheduler's per-batch walk *)
 let entries_in_block t b =
-  Option.value ~default:0 (Hashtbl.find_opt t.entries_per_block b)
+  match Hashtbl.find t.entries_per_block b with
+  | n -> n
+  | exception Not_found -> 0
 
 let is_clean_start t b = Hashtbl.mem t.clean_starts b
 let chain t = List.rev t.blocks
+
+(* oldest first without reversing the newest-first list; the recursion
+   is as deep as the chain is long *)
+let iter_chain t f =
+  let rec go = function
+    | [] -> ()
+    | b :: older ->
+        go older;
+        f b
+  in
+  go t.blocks
 
 let count_entries t b n =
   t.total_entries <- t.total_entries + n;
@@ -282,12 +304,15 @@ let abandon_record t =
   t.n_segs <- 0;
   t.seg_start <- -1
 
-(* Walk the entry stream of a record, following markers.  [block] is the
-   block containing [meta].  Calls [f ~block target value] for every entry
-   and marker ([block] is the block holding that entry); returns
-   [Some (next_pos, next_block)] one past the stream, or [None] if the
-   stream is malformed (torn size or dangling marker). *)
-let walk_entries pm ~block_bytes ~block ~meta ~size f =
+(* Fold the entry stream of a record, following markers.  [block] is the
+   block containing [meta].  Threads [acc] through [f acc ~block target
+   value] for every entry and marker ([block] is the block holding that
+   entry) and returns it; [stop] receives the position one past the
+   stream and its block, or [at = -1] if the stream is malformed (torn
+   size or dangling marker).  With an immediate [acc] and a closed [f]
+   the walk allocates nothing. *)
+let walk_entries pm ~block_bytes ~block ~meta ~size ~stop f acc =
+  let acc = ref acc in
   let pos = ref (meta + meta_bytes) in
   let cur_block = ref block in
   let consumed = ref 0 in
@@ -301,7 +326,7 @@ let walk_entries pm ~block_bytes ~block ~meta ~size f =
       if target = marker_target then
         if value <= 0 || value + block_bytes > mem then ok := false
         else begin
-          f ~block:!cur_block target value;
+          acc := f !acc ~block:!cur_block target value;
           consumed := !consumed + entry_bytes;
           cur_block := value;
           pos := payload value
@@ -314,36 +339,39 @@ let walk_entries pm ~block_bytes ~block ~meta ~size f =
           || !pos + page_entry_bytes > !cur_block + block_bytes
         then ok := false
         else begin
-          f ~block:!cur_block target value;
+          acc := f !acc ~block:!cur_block target value;
           for w = 0 to (Addr.page_size / 8) - 1 do
-            f ~block:!cur_block
-              (value + (w * 8))
-              (Pmem.load_int pm (!pos + entry_bytes + (w * 8)))
+            acc :=
+              f !acc ~block:!cur_block
+                (value + (w * 8))
+                (Pmem.load_int pm (!pos + entry_bytes + (w * 8)))
           done;
           consumed := !consumed + page_entry_bytes;
           pos := !pos + page_entry_bytes
         end
       else if target < 0 then ok := false
       else begin
-        f ~block:!cur_block target value;
+        acc := f !acc ~block:!cur_block target value;
         consumed := !consumed + entry_bytes;
         pos := !pos + entry_bytes
       end
     end
   done;
-  if !ok then Some (!pos, !cur_block) else None
+  if !ok then begin
+    stop.at <- !pos;
+    stop.at_block <- !cur_block
+  end
+  else stop.at <- -1;
+  !acc
 
-let record_checksum pm ~block_bytes ~block ~meta ~size ~ts =
-  (* incremental fold over the stream [size; ts; tgt0; v0; ...] — the
-     commit hot path builds no list and no byte buffer ([Checksum.words]
-     remains the differential-test oracle for this fold) *)
-  let crc = ref (Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts) in
-  match
-    walk_entries pm ~block_bytes ~block ~meta ~size (fun ~block:_ tgt v ->
-        crc := Checksum.crc32c_word (Checksum.crc32c_word !crc tgt) v)
-  with
-  | None -> None
-  | Some next -> Some (!crc, next)
+(* A record's checksum is an incremental fold over the word stream
+   [size; ts; tgt0; v0; ...]: [crc_meta] starts it, [walk_entries] folds
+   [crc_entry] over the entries.  No list and no byte buffer
+   ([Checksum.words] remains the differential-test oracle for this
+   fold). *)
+let crc_meta ~size ~ts = Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts
+let crc_entry crc ~block:_ tgt v =
+  Checksum.crc32c_word (Checksum.crc32c_word crc tgt) v
 
 let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
     ~timestamp =
@@ -356,26 +384,26 @@ let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
   (* sentinel for the record that will follow *)
   Pmem.store_int t.pm t.pos 0;
   push_seg t t.seg_start (t.pos + 8);
-  (match
-     record_checksum t.pm ~block_bytes:t.block_bytes ~block:t.rec_block
-       ~meta ~size:t.rec_size ~ts:timestamp
-   with
-  | None -> assert false
-  | Some (crc, _) ->
-      Pmem.store_int t.pm meta t.rec_size;
-      Pmem.store_int t.pm (meta + 8) timestamp;
-      if tentative then begin
-        (* group commit: the poisoned checksum keeps the record invisible
-           to every scan — whatever subset of its lines a crash persists,
-           the prefix walk stops here.  [seal_tentative] writes the true
-           checksum and persists the whole batch under one fence. *)
-        Pmem.store_int t.pm (meta + 16) (crc lxor 1);
-        push_tent t meta crc;
-        for i = 0 to t.n_segs - 1 do
-          push_tseg t t.seg_a.(i) t.seg_b.(i)
-        done
-      end
-      else Pmem.store_int t.pm (meta + 16) crc);
+  let crc =
+    walk_entries t.pm ~block_bytes:t.block_bytes ~block:t.rec_block ~meta
+      ~size:t.rec_size ~stop:t.walk crc_entry
+      (crc_meta ~size:t.rec_size ~ts:timestamp)
+  in
+  assert (t.walk.at >= 0);
+  Pmem.store_int t.pm meta t.rec_size;
+  Pmem.store_int t.pm (meta + 8) timestamp;
+  if tentative then begin
+    (* group commit: the poisoned checksum keeps the record invisible to
+       every scan — whatever subset of its lines a crash persists, the
+       prefix walk stops here.  [seal_tentative] writes the true checksum
+       and persists the whole batch under one fence. *)
+    Pmem.store_int t.pm (meta + 16) (crc lxor 1);
+    push_tent t meta crc;
+    for i = 0 to t.n_segs - 1 do
+      push_tseg t t.seg_a.(i) t.seg_b.(i)
+    done
+  end
+  else Pmem.store_int t.pm (meta + 16) crc;
   (* one flush run over the record's spans, then a single fence: the
      speculative-logging commit of Figure 2 (right).  Tentative records
      defer both to the seal.  Pending chain pointers go first, then the
@@ -420,7 +448,7 @@ let seal_tentative t =
     let n = t.n_tent in
     t.n_tent <- 0;
     t.n_tseg <- 0;
-    Specpmt_obs.Trace.emit "arena.seal" ~a:n;
+    Specpmt_obs.Trace.emit "arena.seal" ~a:n ~b:0;
     n
   end
 
@@ -433,6 +461,7 @@ let seal_tentative t =
    (max_ts, end_pos, end_block). *)
 let scan_records pm ~block_bytes ~head ~f =
   let mem = Pmem.mem_size pm in
+  let stop = { at = -1; at_block = -1 } in
   let max_ts = ref 0 in
   let continue = ref true in
   let cur_block = ref head in
@@ -463,21 +492,23 @@ let scan_records pm ~block_bytes ~head ~f =
       else begin
         let ts = Pmem.load_int pm (!pos + 8) in
         let crc = Pmem.load_int pm (!pos + 16) in
-        let fold = ref (Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts) in
         let entries = ref [] in
-        match
+        let fold =
           walk_entries pm ~block_bytes ~block:!cur_block ~meta:!pos ~size
-            (fun ~block tgt v ->
-              fold := Checksum.crc32c_word (Checksum.crc32c_word !fold tgt) v;
-              if tgt >= 0 then entries := (tgt, v, block) :: !entries)
-        with
-        | Some (next_pos, next_block) when !fold = crc && ts > 0 ->
-            f ~ts ~meta:!pos ~meta_block:!cur_block
-              (Array.of_list (List.rev !entries));
-            if ts > !max_ts then max_ts := ts;
-            pos := next_pos;
-            cur_block := next_block
-        | Some _ | None -> continue := false
+            ~stop
+            (fun crc ~block tgt v ->
+              if tgt >= 0 then entries := (tgt, v, block) :: !entries;
+              crc_entry crc ~block tgt v)
+            (crc_meta ~size ~ts)
+        in
+        if stop.at >= 0 && fold = crc && ts > 0 then begin
+          f ~ts ~meta:!pos ~meta_block:!cur_block
+            (Array.of_list (List.rev !entries));
+          if ts > !max_ts then max_ts := ts;
+          pos := stop.at;
+          cur_block := stop.at_block
+        end
+        else continue := false
       end
     end
   done;
@@ -615,7 +646,7 @@ let append_page_record ?(fence = false) t ~timestamp ~page_base =
   t.pos <- meta + meta_bytes + size;
   Pmem.store_int t.pm t.pos 0;
   (* folded in stream order [size; ts; tag; base; a0; v0; ...] — the
-     same word sequence [record_checksum] sees when scanning *)
+     same word sequence [crc_entry] folds when scanning *)
   let crc =
     ref
       (Checksum.crc32c_word
@@ -717,7 +748,7 @@ let reset t =
   Hashtbl.reset t.entries_per_block;
   Hashtbl.reset t.clean_starts;
   Hashtbl.replace t.clean_starts head ();
-  Specpmt_obs.Trace.emit "arena.reset" ~a:head
+  Specpmt_obs.Trace.emit "arena.reset" ~a:head ~b:0
 
 let compact t =
   assert (not (has_open_record t));

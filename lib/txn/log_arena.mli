@@ -214,6 +214,10 @@ val entries_in_block : t -> Addr.t -> int
 val chain : t -> Addr.t list
 (** The chain's blocks, oldest first. *)
 
+val iter_chain : t -> (Addr.t -> unit) -> unit
+(** [f] on the chain's blocks, oldest first, without building
+    {!chain}'s list. *)
+
 val is_clean_start : t -> Addr.t -> bool
 (** Whether the block's payload starts on a record boundary — only such
     blocks are legal {!compact_indexed} [keep_from] splice points, because

@@ -22,14 +22,19 @@ type slot = {
 }
 
 (* Flat representation: cells in first-write order live in the parallel
-   [addrs]/[slots] arrays; a linear-probing index over the address space
-   maps address -> position.  Slot records are reused across transactions
-   ([clear] keeps them allocated), so the steady-state commit path does
-   no hashing through a generic Hashtbl and no allocation per write. *)
+   [addrs]/[slots]/[homes] arrays; a linear-probing index over the address
+   space maps address -> position.  Slot records are reused across
+   transactions ([clear] keeps them allocated), so the steady-state commit
+   path does no hashing through a generic Hashtbl and no allocation per
+   write.  [homes] remembers the probe slot each cell landed in, so
+   [clear] empties only the slots a transaction used instead of the whole
+   table, which is sized by the largest transaction the set has seen. *)
 type t = {
   mutable addrs : Addr.t array;
   mutable slots : slot array; (* parallel to addrs; records are reused *)
+  mutable homes : int array; (* parallel to addrs: probe slot of the cell *)
   mutable n : int;
+  mutable fresh : bool; (* the last [record] was a first write *)
   mutable keys : Addr.t array; (* probe table: address, or -1 when empty *)
   mutable vals : int array; (* probe table: position in addrs/slots *)
   mutable mask : int; (* keys/vals length - 1, a power of two *)
@@ -46,17 +51,27 @@ let create () =
   {
     addrs = Array.make initial_cells (-1);
     slots = Array.make initial_cells dummy_slot;
+    homes = Array.make initial_cells 0;
     n = 0;
+    fresh = false;
     keys = Array.make (4 * initial_cells) (-1);
     vals = Array.make (4 * initial_cells) 0;
     mask = (4 * initial_cells) - 1;
   }
 
+(* Only the cells' own probe slots were filled since the table was last
+   empty, so resetting them empties it.  Once the set is a quarter full
+   a sequential fill of the table is the cheaper way. *)
 let clear t =
-  t.n <- 0;
-  Array.fill t.keys 0 (t.mask + 1) (-1)
+  if 4 * t.n >= Array.length t.addrs then Array.fill t.keys 0 (t.mask + 1) (-1)
+  else
+    for i = 0 to t.n - 1 do
+      t.keys.(t.homes.(i)) <- -1
+    done;
+  t.n <- 0
 
 let size t = t.n
+let fresh t = t.fresh
 
 (* cells are 8-byte aligned, so fold the low bits out before mixing *)
 let hash_addr a = (a lsr 3) * 0x9E3779B1
@@ -71,7 +86,8 @@ let probe t addr =
 let insert_index t addr pos =
   let h = probe t addr in
   t.keys.(h) <- addr;
-  t.vals.(h) <- pos
+  t.vals.(h) <- pos;
+  t.homes.(pos) <- h
 
 let grow t =
   let cap = Array.length t.addrs in
@@ -81,6 +97,7 @@ let grow t =
   Array.blit t.slots 0 slots 0 cap;
   t.addrs <- addrs;
   t.slots <- slots;
+  t.homes <- Array.make (2 * cap) 0;
   (* keep the probe table at 4x the cell capacity: load factor <= 1/2 *)
   t.keys <- Array.make (8 * cap) (-1);
   t.vals <- Array.make (8 * cap) 0;
@@ -89,11 +106,15 @@ let grow t =
     insert_index t t.addrs.(i) i
   done
 
-(** [record t addr ~old_value] notes a write to [addr].  Returns the slot
-    and whether this is the first write to that cell in the transaction. *)
+(** [record t addr ~old_value] notes a write to [addr] and returns its
+    slot; {!fresh} then tells whether this was the first write to that
+    cell in the transaction. *)
 let record t addr ~old_value =
   let h = probe t addr in
-  if t.keys.(h) = addr then (t.slots.(t.vals.(h)), false)
+  if t.keys.(h) = addr then begin
+    t.fresh <- false;
+    t.slots.(t.vals.(h))
+  end
   else begin
     if t.n = Array.length t.addrs then grow t;
     let pos = t.n in
@@ -118,12 +139,16 @@ let record t addr ~old_value =
     t.addrs.(pos) <- addr;
     t.n <- pos + 1;
     insert_index t addr pos;
-    (slot, true)
+    t.fresh <- true;
+    slot
   end
 
 let find t addr =
   let h = probe t addr in
   if t.keys.(h) = addr then Some t.slots.(t.vals.(h)) else None
+
+let nth_addr t i = t.addrs.(i)
+let nth_slot t i = t.slots.(i)
 
 (** Iterate cells in first-write order (oldest first). *)
 let iter_in_order t f =

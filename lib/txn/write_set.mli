@@ -28,13 +28,29 @@ type t
 
 val create : unit -> t
 val clear : t -> unit
+(** Empty the set for the next transaction.  Costs O(cells used), not
+    O(the largest transaction seen): only the probe slots the cells
+    landed in are reset. *)
+
 val size : t -> int
 
-val record : t -> Addr.t -> old_value:int -> slot * bool
-(** Note a write; [true] when this is the cell's first write in the
-    transaction ([old_value] is only stored then). *)
+val record : t -> Addr.t -> old_value:int -> slot
+(** Note a write and return the cell's slot ([old_value] is only stored
+    on the cell's first write in the transaction). *)
+
+val fresh : t -> bool
+(** Whether the latest {!record} was the cell's first write in the
+    transaction. *)
 
 val find : t -> Addr.t -> slot option
+
+val nth_addr : t -> int -> Addr.t
+(** [nth_addr t i] is the [i]-th cell in first-write order,
+    [0 <= i < size t] — with {!nth_slot}, a closure-free walk for hot
+    loops. *)
+
+val nth_slot : t -> int -> slot
+(** The slot of the [i]-th cell (see {!nth_addr}). *)
 
 val iter_in_order : t -> (Addr.t -> slot -> unit) -> unit
 (** Cells in first-write order, oldest first.  A straight walk over the

@@ -286,6 +286,37 @@ let prop_flush_semantics =
         (fun a v acc -> acc && Pmem.peek_media_int pm a = v)
         flushed true)
 
+(* The device model's access path allocates nothing: its clocks live in
+   an all-float record, the fuse is an int countdown and no trace value
+   is built while the trace ring is off.  10,000 rounds of store + load +
+   clwb, with an sfence every 8th round, over 512 lines (twice the small
+   cache, so the rounds also take misses, evictions and WPQ stalls). *)
+let words_per_round pm =
+  let round i =
+    let a = i * 8 * 9 mod (512 * 64) in
+    Pmem.store_int pm a i;
+    ignore (Pmem.load_int pm a);
+    Pmem.clwb pm a;
+    if i land 7 = 7 then Pmem.sfence pm
+  in
+  for i = 0 to 9_999 do
+    round i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    round i
+  done;
+  (Gc.minor_words () -. w0) /. 10_000.0
+
+let test_access_allocates_nothing () =
+  let pm = Pmem.create cfg in
+  Alcotest.(check (float 0.0))
+    "minor words per round, trace off" 0.0 (words_per_round pm);
+  Pmem.set_fuse pm (Some max_int);
+  Alcotest.(check (float 0.0))
+    "minor words per round, fuse armed" 0.0 (words_per_round pm);
+  Alcotest.(check bool) "fuse still armed" true (Pmem.fuse pm <> None)
+
 let () =
   Alcotest.run "pmem"
     [
@@ -330,4 +361,9 @@ let () =
         ] );
       ( "crash injection",
         [ Alcotest.test_case "fuse" `Quick test_fuse ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "store + load + clwb allocate nothing" `Quick
+            test_access_allocates_nothing;
+        ] );
     ]

@@ -61,9 +61,12 @@ let prop_crc_detects_flip =
 
 let test_write_set_first_and_order () =
   let ws = Write_set.create () in
-  let s1, f1 = Write_set.record ws 8 ~old_value:10 in
-  let _, f2 = Write_set.record ws 16 ~old_value:20 in
-  let s3, f3 = Write_set.record ws 8 ~old_value:999 in
+  let s1 = Write_set.record ws 8 ~old_value:10 in
+  let f1 = Write_set.fresh ws in
+  ignore (Write_set.record ws 16 ~old_value:20);
+  let f2 = Write_set.fresh ws in
+  let s3 = Write_set.record ws 8 ~old_value:999 in
+  let f3 = Write_set.fresh ws in
   Alcotest.(check bool) "first" true f1;
   Alcotest.(check bool) "second addr first" true f2;
   Alcotest.(check bool) "repeat not first" false f3;
@@ -73,6 +76,37 @@ let test_write_set_first_and_order () =
   let order = ref [] in
   Write_set.iter_in_order ws (fun a _ -> order := a :: !order);
   Alcotest.(check (list int)) "oldest first" [ 16; 8 ] !order
+
+(* [clear] resets only the probe slots the cells used (or fills the
+   table once the set is a quarter full), so after any history of
+   transactions — including one that grew the table — every lookup must
+   agree with a set that only ever saw the open transaction. *)
+let prop_write_set_clear =
+  let tx = QCheck.(list_of_size Gen.(oneof [ 0 -- 8; 0 -- 300 ]) (0 -- 1023)) in
+  QCheck.Test.make ~name:"after record/clear, find agrees with a fresh set"
+    ~count:200
+    QCheck.(list_of_size Gen.(1 -- 12) tx)
+    (fun txs ->
+      let ws = Write_set.create () in
+      List.for_all
+        (fun cells ->
+          Write_set.clear ws;
+          let fresh = Write_set.create () in
+          List.iteri
+            (fun i c ->
+              ignore (Write_set.record ws (8 * c) ~old_value:i);
+              ignore (Write_set.record fresh (8 * c) ~old_value:i))
+            cells;
+          Write_set.size ws = Write_set.size fresh
+          && List.for_all
+               (fun c ->
+                 match (Write_set.find ws (8 * c), Write_set.find fresh (8 * c)) with
+                 | None, None -> true
+                 | Some s, Some s' ->
+                     s.Write_set.old_value = s'.Write_set.old_value
+                 | _ -> false)
+               (List.init 1100 Fun.id))
+        txs)
 
 (* log arena *)
 
@@ -954,6 +988,7 @@ let () =
         [
           Alcotest.test_case "first/order semantics" `Quick
             test_write_set_first_and_order;
+          QCheck_alcotest.to_alcotest prop_write_set_clear;
         ] );
       ( "log arena",
         [
