@@ -12,7 +12,7 @@
 
    Experiments: table1 table2 table3 fig1 fig12 fig13 fig14 fig15 hashlog
    ablation sweeps recovery recovery-sweep svc svc-scale ycsb scan eadr
-   hotness bechamel.
+   hotness.
    Measurements are simulated time and traffic; the
    paper's reference numbers are printed alongside (see EXPERIMENTS.md for
    the comparison discussion). *)
@@ -853,8 +853,9 @@ let recovery_sweep () =
     "Extension: coalescing recovery — O(live set), not O(log)      (DESIGN.md, \"Recovery & reclamation performance model\")";
   (* 1: stale-overwrite sweep, fixed live set.  The log grows 10x; the
      live set does not.  Replay recovery pays per log entry; coalesced
-     recovery pays once per live cell, so its time must stay flat within
-     noise (the shape criterion printed at the end). *)
+     recovery pays once per live cell, so its time grows only with the
+     streaming log scan, well below the log (the shape criterion printed
+     at the end). *)
   let cells = 256 in
   Printf.printf
     "\nstale-overwrite sweep (%d live cells; reclamation off):\n" cells;
@@ -881,7 +882,7 @@ let recovery_sweep () =
   Printf.printf
     "shape: 10x more stale log -> replay writes %dx more cells (%d -> %d), \
      coalesced stays at %d;\n       recovery time: replay %.2fx, coalesced \
-     %.2fx (flat: only the streaming scan grows)\n"
+     %.2fx (sublinear: only the streaming scan grows)\n"
     (rw10 / max 1 rw1) rw1 rw10 cw10 (ns10 /. ns1) (cns10 /. cns1);
   (* 2: live-set sweep, fixed overwrite factor — coalesced recovery cost
      should scale with the live set, its only remaining driver *)
@@ -1585,78 +1586,6 @@ let scan () =
      so ns/entry falls toward the flat walk as the window grows; the \
      mirror removes the descent's device reads entirely\n"
 
-(* ---------- Bechamel wall-clock microbenches ---------- *)
-
-let bechamel () =
-  header "Bechamel: wall-clock of the primitives behind each figure";
-  let open Bechamel in
-  let mk_pool () =
-    let pm = Pmem.create Pmem_config.default in
-    Heap.create pm
-  in
-  let tx_bench scheme =
-    Staged.stage (fun () ->
-        let heap = mk_pool () in
-        let b = create_scheme heap scheme in
-        let base = Heap.alloc heap (16 * 8) in
-        for r = 0 to 99 do
-          b.Ctx.run_tx (fun ctx ->
-              for i = 0 to 15 do
-                ctx.Ctx.write (base + (i * 8)) (r + i)
-              done)
-        done)
-  in
-  let tests =
-    [
-      Test.make ~name:"fig12:pmdk-100tx" (tx_bench "PMDK");
-      Test.make ~name:"fig12:specspmt-100tx" (tx_bench "SpecSPMT");
-      Test.make ~name:"fig13:ede-100tx" (tx_bench "EDE");
-      Test.make ~name:"fig13:spechpmt-100tx" (tx_bench "SpecHPMT");
-      Test.make ~name:"fig14:nolog-100tx" (tx_bench "no-log");
-      Test.make ~name:"table2:crc32c-4k"
-        (Staged.stage
-           (let b = Bytes.create 4096 in
-            fun () -> ignore (Checksum.crc32c b)));
-      Test.make ~name:"fig15:recovery-scan"
-        (Staged.stage (fun () ->
-             let heap = mk_pool () in
-             let pm = Heap.pmem heap in
-             let b = create_scheme heap "SpecSPMT" in
-             let base = Heap.alloc heap (16 * 8) in
-             for r = 0 to 49 do
-               b.Ctx.run_tx (fun ctx ->
-                   for i = 0 to 15 do
-                     ctx.Ctx.write (base + (i * 8)) (r + i)
-                   done)
-             done;
-             Pmem.crash pm;
-             b.Ctx.recover ()));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  List.iter
-    (fun t ->
-      let results = benchmark t in
-      (* print mean run time per test *)
-      Hashtbl.iter
-        (fun name r ->
-          match
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock r
-          with
-          | ols -> (
-              match Analyze.OLS.estimates ols with
-              | Some [ est ] -> Printf.printf "%-28s %12.0f ns/run\n" name est
-              | _ -> Printf.printf "%-28s (no estimate)\n" name))
-        results)
-    tests
-
 (* ---------- driver ---------- *)
 
 let all_experiments =
@@ -1680,7 +1609,6 @@ let all_experiments =
     ("scan", scan);
     ("eadr", eadr);
     ("hotness", hotness);
-    ("bechamel", bechamel);
   ]
 
 (* The (scheme x workload x multiplier) grids behind the figures that

@@ -54,10 +54,11 @@ let tsc t = t.tsc
 
    [Replay] materialises every record, sorts globally by timestamp and
    replays oldest first — the paper's algorithm and the differential
-   oracle.  [Coalesce] skips the sort entirely: feeding all logs through
-   one last-writer-wins index IS the timestamp merge (a cell's binding
-   survives iff no log holds a fresher entry for it), and the index is
-   then applied with one data write per live cell. *)
+   oracle.  [Coalesce] skips the sort entirely: merging the per-thread
+   last-writer-wins indexes IS the timestamp merge (a cell's binding
+   survives iff no log holds a fresher entry for it), and the merged
+   index is then applied with one data write per live cell.  Each log is
+   read once: its scan also reattaches its runtime. *)
 let recover t =
   let open Specpmt_obs in
   Phase.run Phase.Recover @@ fun () ->
@@ -68,64 +69,60 @@ let recover t =
   | Some heaps -> Array.iter Heap.recover heaps
   | None -> ());
   let bb = t.params.Spec_soft.block_bytes in
-  let max_ts = ref 0 in
-  (match t.params.Spec_soft.recovery with
-  | Spec_soft.Coalesce ->
-      let index = Hashtbl.create 256 in
-      let records = ref 0 and entries = ref 0 in
-      Array.iteri
-        (fun i _ ->
-          let ts, r, e =
-            Log_arena.recover_collect t.pm ~head_slot:(head_slot i)
-              ~block_bytes:bb ~index
-          in
-          if ts > !max_ts then max_ts := ts;
-          records := !records + r;
-          entries := !entries + e)
-        t.runtimes;
-      (* stores first, flushes after — interleaving would drain a line
-         shared by several cells once per cell instead of once per line *)
-      Hashtbl.iter (fun a (v, _, _) -> Pmem.store_int t.pm a v) index;
-      Hashtbl.iter (fun a _ -> Pmem.clwb t.pm a) index;
-      Pmem.sfence t.pm;
-      Metrics.add (Metrics.counter "recover.records_scanned") !records;
-      Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-      Metrics.add (Metrics.counter "recover.data_writes")
-        (Hashtbl.length index);
-      Metrics.add (Metrics.counter "recover.cells_restored")
-        (Hashtbl.length index)
-  | Spec_soft.Replay ->
-      let records = ref [] in
-      let entries = ref 0 in
-      Array.iteri
-        (fun i _ ->
-          ignore
-            (Log_arena.recover_scan t.pm ~head_slot:(head_slot i)
-               ~block_bytes:bb
-               ~f:(fun ~ts es ->
-                 if ts > !max_ts then max_ts := ts;
-                 entries := !entries + Array.length es;
-                 records := (ts, es) :: !records)))
-        t.runtimes;
-      let ordered = List.sort (fun (a, _) (b, _) -> compare a b) !records in
-      let touched = Hashtbl.create 256 in
-      List.iter
-        (fun (_, es) ->
-          Array.iter
-            (fun (a, v) ->
-              Pmem.store_int t.pm a v;
-              Hashtbl.replace touched a ())
-            es)
-        ordered;
-      Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-      Pmem.sfence t.pm;
-      Metrics.add (Metrics.counter "recover.records_scanned")
-        (List.length ordered);
-      Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-      Metrics.add (Metrics.counter "recover.data_writes") !entries;
-      Metrics.add (Metrics.counter "recover.cells_restored")
-        (Hashtbl.length touched));
+  let scans, indexes, cells_restored, data_writes =
+    match t.params.Spec_soft.recovery with
+    | Spec_soft.Coalesce ->
+        (* one index per thread, kept as its runtime's live index *)
+        let indexes = Array.map (fun _ -> Hashtbl.create 256) t.runtimes in
+        let scans =
+          Array.mapi
+            (fun i index ->
+              Log_arena.recover_collect t.pm ~head_slot:(head_slot i)
+                ~block_bytes:bb ~index)
+            indexes
+        in
+        let index = Hashtbl.create 256 in
+        Array.iter (Log_arena.merge_index ~into:index) indexes;
+        Log_arena.write_back ~store:(fun (v, _, _) -> v) t.pm index;
+        let n = Hashtbl.length index in
+        (scans, Array.map Option.some indexes, n, n)
+    | Spec_soft.Replay ->
+        let records = ref [] in
+        let scans =
+          Array.mapi
+            (fun i _ ->
+              Log_arena.recover_scan t.pm ~head_slot:(head_slot i)
+                ~block_bytes:bb
+                ~f:(fun ~ts es -> records := (ts, es) :: !records))
+            t.runtimes
+        in
+        let ordered = List.sort (fun (a, _) (b, _) -> compare a b) !records in
+        let touched = Hashtbl.create 256 in
+        List.iter
+          (fun (_, es) ->
+            Array.iter
+              (fun (a, v) ->
+                Pmem.store_int t.pm a v;
+                Hashtbl.replace touched a ())
+              es)
+          ordered;
+        Log_arena.write_back t.pm touched;
+        let writes =
+          List.fold_left (fun n (_, es) -> n + Array.length es) 0 ordered
+        in
+        (scans, Array.map (fun _ -> None) scans, Hashtbl.length touched, writes)
+  in
+  let total f = Array.fold_left (fun n s -> n + f s) 0 scans in
+  Metrics.add (Metrics.counter "recover.records_scanned")
+    (total Log_arena.records_scanned);
+  Metrics.add (Metrics.counter "recover.entries_scanned")
+    (total Log_arena.entries_scanned);
+  Metrics.add (Metrics.counter "recover.data_writes") data_writes;
+  Metrics.add (Metrics.counter "recover.cells_restored") cells_restored;
   Metrics.incr (Metrics.counter "recover.cycles");
-  Tsc.restart_above t.tsc !max_ts;
-  (* reattach every thread's arena after the data replay *)
-  Array.iter Spec_soft.reattach t.runtimes
+  Tsc.restart_above t.tsc
+    (Array.fold_left (fun m s -> max m (Log_arena.max_ts s)) 0 scans);
+  (* reattach every thread's arena from its own scan and index *)
+  Array.iteri
+    (fun i rt -> Spec_soft.reattach ~scan:scans.(i) ?index:indexes.(i) rt)
+    t.runtimes

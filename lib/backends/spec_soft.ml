@@ -401,86 +401,67 @@ let batch_end t =
 let replay_internal ?(head_slot = Slots.spec_head) ?(mode = Coalesce) pm
     ~block_bytes =
   let open Specpmt_obs in
-  match mode with
-  | Coalesce ->
-      let index = Hashtbl.create 256 in
-      let max_ts, records, entries =
-        Log_arena.recover_collect pm ~head_slot ~block_bytes ~index
-      in
-      let restored = Hashtbl.create (max 16 (Hashtbl.length index)) in
-      (* all stores first, then the flushes: interleaving would re-dirty
-         a line shared by several cells after its flush and drain it once
-         per cell instead of once per line *)
-      Hashtbl.iter
-        (fun a (v, _, _) ->
-          Pmem.store_int pm a v;
-          Hashtbl.replace restored a v)
-        index;
-      Hashtbl.iter (fun a _ -> Pmem.clwb pm a) restored;
-      Pmem.sfence pm;
-      Metrics.add (Metrics.counter "recover.records_scanned") records;
-      Metrics.add (Metrics.counter "recover.entries_scanned") entries;
-      Metrics.add (Metrics.counter "recover.data_writes")
-        (Hashtbl.length index);
-      (restored, max_ts, Some index)
-  | Replay ->
-      let restored = Hashtbl.create 256 in
-      let records = ref 0 and entries = ref 0 in
-      let max_ts =
-        Log_arena.recover_scan pm ~head_slot ~block_bytes
-          ~f:(fun ~ts:_ es ->
-            incr records;
-            entries := !entries + Array.length es;
-            Array.iter
-              (fun (a, v) ->
-                Pmem.store_int pm a v;
-                Hashtbl.replace restored a v)
-              es)
-      in
-      Hashtbl.iter (fun a _ -> Pmem.clwb pm a) restored;
-      Pmem.sfence pm;
-      Metrics.add (Metrics.counter "recover.records_scanned") !records;
-      Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-      Metrics.add (Metrics.counter "recover.data_writes") !entries;
-      (restored, max_ts, None)
+  let restored = Hashtbl.create 256 in
+  let scan, index, data_writes =
+    match mode with
+    | Coalesce ->
+        let index = Hashtbl.create 256 in
+        let scan = Log_arena.recover_collect pm ~head_slot ~block_bytes ~index in
+        Hashtbl.iter (fun a (v, _, _) -> Hashtbl.replace restored a v) index;
+        Log_arena.write_back ~store:Fun.id pm restored;
+        (scan, Some index, Hashtbl.length index)
+    | Replay ->
+        let scan =
+          Log_arena.recover_scan pm ~head_slot ~block_bytes
+            ~f:(fun ~ts:_ es ->
+              Array.iter
+                (fun (a, v) ->
+                  Pmem.store_int pm a v;
+                  Hashtbl.replace restored a v)
+                es)
+        in
+        Log_arena.write_back pm restored;
+        (scan, None, Log_arena.entries_scanned scan)
+  in
+  let count name n = Metrics.add (Metrics.counter name) n in
+  count "recover.records_scanned" (Log_arena.records_scanned scan);
+  count "recover.entries_scanned" (Log_arena.entries_scanned scan);
+  count "recover.data_writes" data_writes;
+  (restored, scan, index)
 
 let recover_standalone ?(mode = Coalesce) pm ~block_bytes =
   let restored, _, _ = replay_internal ~mode pm ~block_bytes in
   restored
 
-let recover t =
-  let open Specpmt_obs in
-  Phase.run Phase.Recover @@ fun () ->
-  (* replay first: the heap walk must see the restored image *)
-  let restored, max_ts, index =
-    replay_internal ~head_slot:t.head_slot ~mode:t.params.recovery t.pm
-      ~block_bytes:t.params.block_bytes
-  in
-  Heap.recover t.heap;
-  Tsc.restart_above t.tsc max_ts;
+(* Reattach the arena after the data replay, from that replay's own scan
+   of this log (and its coalesced index, when it built one) — the
+   multi-threaded runtime replays all threads' logs in global timestamp
+   order before reattaching each thread (Section 5.2.2). *)
+let reattach ~scan ?index t =
   t.arena <-
-    Log_arena.attach t.heap ~head_slot:t.head_slot
+    Log_arena.attach ~scan t.heap ~head_slot:t.head_slot
       ~block_bytes:t.params.block_bytes;
   rebuild_vindex ?from:index t;
   Write_set.clear t.ws;
   Ctx.Driver.reset t.driver;
-  t.in_batch <- false (* an unsealed batch died with the crash *);
+  t.in_batch <- false (* an unsealed batch died with the crash *)
+
+let recover t =
+  let open Specpmt_obs in
+  Phase.run Phase.Recover @@ fun () ->
+  (* replay first: the heap walk must see the restored image *)
+  let restored, scan, index =
+    replay_internal ~head_slot:t.head_slot ~mode:t.params.recovery t.pm
+      ~block_bytes:t.params.block_bytes
+  in
+  Heap.recover t.heap;
+  Tsc.restart_above t.tsc (Log_arena.max_ts scan);
+  reattach ~scan ?index t;
   Metrics.incr (Metrics.counter "recover.cycles");
   Metrics.add (Metrics.counter "recover.cells_restored")
     (Hashtbl.length restored);
-  Trace.emit "spec.recover" ~a:(Hashtbl.length restored) ~b:max_ts
-
-(* Reattach the arena after an external replay — the multi-threaded
-   runtime replays all threads' logs in global timestamp order before
-   reattaching each thread (Section 5.2.2). *)
-let reattach t =
-  t.arena <-
-    Log_arena.attach t.heap ~head_slot:t.head_slot
-      ~block_bytes:t.params.block_bytes;
-  rebuild_vindex t;
-  Write_set.clear t.ws;
-  Ctx.Driver.reset t.driver;
-  t.in_batch <- false
+  Trace.emit "spec.recover" ~a:(Hashtbl.length restored)
+    ~b:(Log_arena.max_ts scan)
 
 let snapshot_region t addr len =
   assert (Addr.is_word_aligned addr && len mod 8 = 0);

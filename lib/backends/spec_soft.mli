@@ -168,10 +168,16 @@ val stale_entries : t -> int
 (** Log entries superseded by fresher commits
     ([Log_arena.total_entries - live_cells]). *)
 
-val reattach : t -> unit
+val reattach :
+  scan:Log_arena.scan ->
+  ?index:(Addr.t, int * int * Addr.t) Hashtbl.t ->
+  t ->
+  unit
 (** Reattach the runtime to its log after an external replay (used by the
     multi-threaded recovery, which replays all threads' logs in global
-    timestamp order first).  Rebuilds the volatile live index from the
+    timestamp order first), from that replay's [scan] of this log and
+    its {!Specpmt_txn.Log_arena.recover_collect} [index] of this log
+    alone; without [index] the live index is rebuilt by a scan of the
     log. *)
 
 val recover_standalone :

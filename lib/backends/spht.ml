@@ -107,7 +107,7 @@ let rollback t =
 let recover t =
   Heap.recover t.heap;
   let touched = Hashtbl.create 256 in
-  let max_ts =
+  let scan =
     Log_arena.recover_scan t.pm ~head_slot:Slots.spht_head ~block_bytes:4096
       ~f:(fun ~ts:_ entries ->
         Array.iter
@@ -116,10 +116,10 @@ let recover t =
             Hashtbl.replace touched a ())
           entries)
   in
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-  Pmem.sfence t.pm;
-  Tsc.restart_above t.tsc max_ts;
-  t.arena <- Log_arena.attach t.heap ~head_slot:Slots.spht_head ~block_bytes:4096;
+  Log_arena.write_back t.pm touched;
+  Tsc.restart_above t.tsc (Log_arena.max_ts scan);
+  t.arena <-
+    Log_arena.attach ~scan t.heap ~head_slot:Slots.spht_head ~block_bytes:4096;
   t.pending <- [];
   t.pending_entries <- 0;
   Write_set.clear t.ws;

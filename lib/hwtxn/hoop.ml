@@ -165,7 +165,7 @@ let rollback t =
 let recover t =
   Heap.recover t.heap;
   let touched = Hashtbl.create 256 in
-  let max_ts =
+  let scan =
     Log_arena.recover_scan t.pm ~head_slot:Hw_slots.hoop_head
       ~block_bytes ~f:(fun ~ts:_ entries ->
         Array.iter
@@ -174,11 +174,10 @@ let recover t =
             Hashtbl.replace touched a ())
           entries)
   in
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-  Pmem.sfence t.pm;
-  Tsc.restart_above t.tsc max_ts;
+  Log_arena.write_back t.pm touched;
+  Tsc.restart_above t.tsc (Log_arena.max_ts scan);
   t.arena <-
-    Log_arena.attach t.heap ~head_slot:Hw_slots.hoop_head ~block_bytes;
+    Log_arena.attach ~scan t.heap ~head_slot:Hw_slots.hoop_head ~block_bytes;
   t.map_arena <-
     Log_arena.attach t.heap ~head_slot:Hw_slots.hoop_map_head ~block_bytes;
   t.pending <- [];

@@ -336,20 +336,18 @@ let rollback t =
 let recover t =
   let touched = Hashtbl.create 1024 in
   let pages = Hashtbl.create 64 in
-  let max_ts = ref 0 in
-  ignore
-    (Log_arena.recover_scan t.pm ~head_slot:t.head_slot
-       ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes
-       ~f:(fun ~ts entries ->
-         if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-         Array.iter
-           (fun (a, v) ->
-             Pmem.store_int t.pm a v;
-             Hashtbl.replace touched a ();
-             Hashtbl.replace pages (Addr.page_index a) ())
-           entries));
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-  Pmem.sfence t.pm;
+  let scan =
+    Log_arena.recover_scan t.pm ~head_slot:t.head_slot
+      ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes
+      ~f:(fun ~ts:_ entries ->
+        Array.iter
+          (fun (a, v) ->
+            Pmem.store_int t.pm a v;
+            Hashtbl.replace touched a ();
+            Hashtbl.replace pages (Addr.page_index a) ())
+          entries)
+  in
+  Log_arena.write_back t.pm touched;
   let undo =
     Nt_log.attach t.heap ~region_slot:t.undo_region_slot
       ~capacity_slot:t.undo_capacity_slot
@@ -370,11 +368,11 @@ let recover t =
      header cells (they are logged stores like any other), so walking
      before it would rebuild free lists from a stale mixture *)
   Heap.recover t.heap;
-  Tsc.restart_above t.tsc !max_ts;
+  Tsc.restart_above t.tsc (Log_arena.max_ts scan lsr 1);
   (* rebuild volatile hotness state: every page with live records is hot
      and owned by the (single) fresh epoch *)
   t.arena <-
-    Log_arena.attach t.heap ~head_slot:t.head_slot
+    Log_arena.attach ~scan t.heap ~head_slot:t.head_slot
       ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes;
   Tlb.flush t.tlb;
   (* forget this thread's hotness claims; shared-pool recovery (Mt) resets
@@ -536,16 +534,14 @@ module Mt = struct
     let records = ref [] in
     let touched = Hashtbl.create 1024 in
     let pages_per_thread = Array.make (threads p) [] in
-    let max_ts = ref 0 in
-    Array.iteri
-      (fun i rt ->
-        ignore
-          (Log_arena.recover_scan p.mt_pm ~head_slot:rt.head_slot
-             ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
-             ~f:(fun ~ts entries ->
-               if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-               records := (ts, i, entries) :: !records)))
-      p.runtimes;
+    let scans =
+      Array.mapi
+        (fun i rt ->
+          Log_arena.recover_scan p.mt_pm ~head_slot:rt.head_slot
+            ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
+            ~f:(fun ~ts entries -> records := (ts, i, entries) :: !records))
+        p.runtimes
+    in
     let ordered =
       List.sort (fun (a, _, _) (b, _, _) -> compare a b) !records
     in
@@ -559,8 +555,7 @@ module Mt = struct
               Addr.page_index a :: pages_per_thread.(i))
           entries)
       ordered;
-    Hashtbl.iter (fun a () -> Pmem.clwb p.mt_pm a) touched;
-    Pmem.sfence p.mt_pm;
+    Log_arena.write_back p.mt_pm touched;
     (* per-core undo: at most one interrupted transaction each *)
     Array.iter
       (fun rt ->
@@ -579,13 +574,14 @@ module Mt = struct
         rt.undo <- undo)
       p.runtimes;
     Heap.recover p.mt_heap;
-    Tsc.restart_above p.mt_tsc !max_ts;
+    Tsc.restart_above p.mt_tsc
+      (Array.fold_left (fun m s -> max m (Log_arena.max_ts s lsr 1)) 0 scans);
     Epoch_coord.reset p.mt_coord;
     Hashtbl.reset p.mt_spec_pages;
     Array.iteri
       (fun i rt ->
         rt.arena <-
-          Log_arena.attach p.mt_heap ~head_slot:rt.head_slot
+          Log_arena.attach ~scan:scans.(i) p.mt_heap ~head_slot:rt.head_slot
             ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes;
         Tlb.flush rt.tlb;
         rt.closed_epochs <- [];

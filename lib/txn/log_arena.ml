@@ -520,13 +520,44 @@ let scan_prefix pm ~block_bytes ~head ~f =
     ~f:(fun ~ts ~meta:_ ~meta_block:_ entries ->
       f ~ts (Array.map (fun (tgt, v, _) -> (tgt, v)) entries))
 
+type scan = {
+  head : Addr.t;
+  max_ts : int;
+  records : int;
+  entries : int;
+  end_pos : Addr.t;
+  end_block : Addr.t;
+  per_block : (Addr.t, int) Hashtbl.t;
+  clean : (Addr.t, unit) Hashtbl.t;
+}
+
+(* The recovery walk: the valid prefix from the head slot, [f] per record
+   (entries with their holding blocks), and everything [attach] needs to
+   resume appending — so a recovery reads each log once. *)
+let scan_log pm ~head_slot ~block_bytes ~f =
+  let head = Pmem.load_int pm (Layout.root_slot head_slot) in
+  let per_block = Hashtbl.create 16 and clean = Hashtbl.create 16 in
+  let records = ref 0 and entries = ref 0 in
+  let max_ts, end_pos, end_block =
+    if head <= 0 then (0, -1, -1)
+    else
+      scan_records pm ~block_bytes ~head ~f:(fun ~ts ~meta ~meta_block es ->
+          incr records;
+          entries := !entries + Array.length es;
+          if meta = payload meta_block then Hashtbl.replace clean meta_block ();
+          Array.iter
+            (fun (_, _, b) ->
+              Hashtbl.replace per_block b
+                (1 + Option.value ~default:0 (Hashtbl.find_opt per_block b)))
+            es;
+          f ~ts es)
+  in
+  { head; max_ts; end_pos; end_block; per_block; clean;
+    records = !records; entries = !entries }
+
 let recover_scan pm ~head_slot ~block_bytes ~f =
-  let slot = Layout.root_slot head_slot in
-  let head = Pmem.load_int pm slot in
-  if head <= 0 then 0
-  else
-    let max_ts, _, _ = scan_prefix pm ~block_bytes ~head ~f in
-    max_ts
+  scan_log pm ~head_slot ~block_bytes ~f:(fun ~ts es ->
+      f ~ts (Array.map (fun (tgt, v, _) -> (tgt, v)) es))
 
 (* Coalescing scan: one walk over the valid prefix folds every entry into
    a last-writer-wins index instead of materialising the records.  Within
@@ -535,49 +566,55 @@ let recover_scan pm ~head_slot ~block_bytes ~f =
    several logs share a timestamp counter the same rule merges them by
    global timestamp (timestamps are globally unique across threads, and a
    compacted log keeps one entry per datum per timestamp). *)
-let recover_collect pm ~head_slot ~block_bytes ~index =
-  let slot = Layout.root_slot head_slot in
-  let head = Pmem.load_int pm slot in
-  if head <= 0 then (0, 0, 0)
-  else begin
-    let records = ref 0 and scanned = ref 0 in
-    let max_ts, _, _ =
-      scan_records pm ~block_bytes ~head
-        ~f:(fun ~ts ~meta:_ ~meta_block:_ entries ->
-          incr records;
-          scanned := !scanned + Array.length entries;
-          Array.iter
-            (fun (tgt, v, block) ->
-              match Hashtbl.find_opt index tgt with
-              | Some (_, ts', _) when ts' > ts -> ()
-              | _ -> Hashtbl.replace index tgt (v, ts, block))
-            entries)
-    in
-    (max_ts, !records, !scanned)
-  end
+let merge_entry index tgt ((_, ts, _) as e) =
+  match Hashtbl.find_opt index tgt with
+  | Some (_, ts', _) when ts' > ts -> ()
+  | _ -> Hashtbl.replace index tgt e
 
-let attach heap ~head_slot ~block_bytes =
+let recover_collect pm ~head_slot ~block_bytes ~index =
+  scan_log pm ~head_slot ~block_bytes ~f:(fun ~ts es ->
+      Array.iter (fun (tgt, v, b) -> merge_entry index tgt (v, ts, b)) es)
+
+let merge_index ~into index = Hashtbl.iter (merge_entry into) index
+let max_ts s = s.max_ts
+let records_scanned s = s.records
+let entries_scanned s = s.entries
+
+(* Persist a recovery's restored cells: sorted by address, each cell
+   first stored from its binding when [store] is given (all stores before
+   any flush, so a line holding several cells drains once), then one
+   [clwb] per distinct line in ascending order — consecutive lines hit
+   the media's sequential-write rate — and a single fence. *)
+let write_back ?store pm cells =
+  let sorted = Array.of_seq (Hashtbl.to_seq cells) in
+  Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
+  Option.iter
+    (fun v -> Array.iter (fun (a, x) -> Pmem.store_int pm a (v x)) sorted)
+    store;
+  let line = ref (-1) in
+  Array.iter
+    (fun (a, _) ->
+      if Addr.line_of a <> !line then begin
+        line := Addr.line_of a;
+        Pmem.clwb pm a
+      end)
+    sorted;
+  Pmem.sfence pm
+
+let attach ?scan heap ~head_slot ~block_bytes =
   let pm = Heap.pmem heap in
-  let slot = Layout.root_slot head_slot in
-  let head = Pmem.load_int pm slot in
+  let head = Pmem.load_int pm (Layout.root_slot head_slot) in
   if head <= 0 then create heap ~head_slot ~block_bytes
   else begin
-    (* one scan both finds the append point and rebuilds the volatile
-       reclamation accounting: entry populations per block and which
-       blocks start on a record boundary *)
-    let per_block : (Addr.t, int) Hashtbl.t = Hashtbl.create 16 in
-    let clean : (Addr.t, unit) Hashtbl.t = Hashtbl.create 16 in
-    let entries_total = ref 0 in
-    let _, pos, cur_block =
-      scan_records pm ~block_bytes ~head
-        ~f:(fun ~ts:_ ~meta ~meta_block entries ->
-          if meta = payload meta_block then Hashtbl.replace clean meta_block ();
-          entries_total := !entries_total + Array.length entries;
-          Array.iter
-            (fun (_, _, b) ->
-              Hashtbl.replace per_block b
-                (Option.value ~default:0 (Hashtbl.find_opt per_block b) + 1))
-            entries)
+    (* the recovery's own scan already found the append point and the
+       reclamation accounting (entry populations per block, blocks that
+       start on a record boundary); scan only without one *)
+    let s =
+      match scan with
+      | Some s when s.head <> head ->
+          invalid_arg "Log_arena.attach: scan of another log"
+      | Some s -> s
+      | None -> scan_log pm ~head_slot ~block_bytes ~f:(fun ~ts:_ _ -> ())
     in
     (* rebuild the block list by walking the chain; a hashed visited set
        keeps the cycle check O(1) per block on long chains *)
@@ -597,11 +634,12 @@ let attach heap ~head_slot ~block_bytes =
     let t = mk heap ~head_slot ~block_bytes head in
     t.blocks <- !blocks;
     t.n_blocks <- List.length !blocks;
-    t.cur_block <- cur_block;
-    t.pos <- pos;
-    Hashtbl.iter (Hashtbl.replace t.entries_per_block) per_block;
-    Hashtbl.iter (fun b () -> Hashtbl.replace t.clean_starts b ()) clean;
-    t.total_entries <- !entries_total;
+    t.cur_block <- s.end_block;
+    t.pos <- s.end_pos;
+    Hashtbl.iter (Hashtbl.replace t.entries_per_block) s.per_block;
+    Hashtbl.iter (fun b () -> Hashtbl.replace t.clean_starts b ()) s.clean;
+    t.total_entries <- s.entries;
+    let pos = s.end_pos in
     (* Make sure torn garbage right at the append point cannot be mistaken
        for a record before the next commit.  The sentinel must itself be
        persisted: a crash before the next commit would otherwise drop the

@@ -30,9 +30,16 @@ type entry_pos = int
 val create : Heap.t -> head_slot:int -> block_bytes:int -> t
 (** Fresh empty log; persists the head pointer in root slot [head_slot]. *)
 
-val attach : Heap.t -> head_slot:int -> block_bytes:int -> t
-(** Reattach after a crash: scans the valid prefix and resumes appending
-    after it.  Call only after {!recover_scan}-based data recovery. *)
+type scan
+(** What a recovery scan learned about one log: enough for {!attach} to
+    resume appending without reading the records again. *)
+
+val attach : ?scan:scan -> Heap.t -> head_slot:int -> block_bytes:int -> t
+(** Reattach after a crash and resume appending after the valid prefix.
+    With [scan] (the data recovery's own {!recover_scan} or
+    {!recover_collect} of the same log, taken before any append) only the
+    block chain is walked; without it the records are scanned again.
+    @raise Invalid_argument if [scan] was taken from another log. *)
 
 (** {1 Appending} *)
 
@@ -105,27 +112,42 @@ val recover_scan :
   head_slot:int ->
   block_bytes:int ->
   f:(ts:int -> (Addr.t * int) array -> unit) ->
-  int
+  scan
 (** Walk the valid record prefix from the head pointer, oldest first,
-    calling [f] per record; returns the largest timestamp seen (0 if
-    none).  Stops at the first checksum mismatch — later records are by
-    construction uncommitted. *)
+    calling [f] per record.  Stops at the first checksum mismatch — later
+    records are by construction uncommitted. *)
 
 val recover_collect :
   Pmem.t ->
   head_slot:int ->
   block_bytes:int ->
   index:(Addr.t, int * int * Addr.t) Hashtbl.t ->
-  int * int * int
+  scan
 (** Coalescing scan: one walk over the valid record prefix folds every
     entry into [index], a last-writer-wins map from cell address to
     [(value, commit timestamp, holding block)].  An entry replaces an
-    existing binding iff its timestamp is at least as new, so feeding
-    several per-thread logs through the same [index] merges them by
-    global timestamp (timestamps are globally unique across logs sharing
-    a counter).  Returns [(max_ts, records_scanned, entries_scanned)].
-    Unlike {!recover_scan} + replay, applying [index] writes each live
-    cell exactly once — recovery work becomes O(live set), not O(log). *)
+    existing binding iff its timestamp is at least as new.  Unlike
+    {!recover_scan} + replay, applying [index] writes each live cell
+    exactly once — recovery work becomes O(live set), not O(log). *)
+
+val merge_index :
+  into:(Addr.t, int * int * Addr.t) Hashtbl.t ->
+  (Addr.t, int * int * Addr.t) Hashtbl.t ->
+  unit
+(** Fold one log's {!recover_collect} index into [into] by the same rule:
+    with timestamps unique across logs, this is the global timestamp merge. *)
+
+val max_ts : scan -> int
+(** Largest commit timestamp seen (0 if none). *)
+
+val records_scanned : scan -> int
+val entries_scanned : scan -> int
+(** Valid records and their entries (a page record counts its words). *)
+
+val write_back : ?store:('a -> int) -> Pmem.t -> (Addr.t, 'a) Hashtbl.t -> unit
+(** Persist the cells a recovery restored: with [store], first store each
+    cell's value from its binding, in ascending address order; then one
+    [clwb] per distinct line in ascending order and a single fence. *)
 
 (** {1 Reclamation} *)
 

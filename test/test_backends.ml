@@ -566,6 +566,96 @@ let test_recover_coalesces_stale_overwrites () =
   Alcotest.(check int) "replay oracle: one write per record" overwrites
     (run Spec_soft.Replay)
 
+(* recovery writes each restored line back once, in ascending address
+   order: cells committed in a scrambled order (for the pool, spread over
+   two threads' logs) come back with one clwb per line, and every line
+   after the first lands on the media's sequential-write path.  The only
+   other clwb is each log's attach sentinel. *)
+let test_recover_write_back_ascending () =
+  let lines = 48 in
+  let case (stride, mode, threads) =
+    let pm = Pmem.create ~seed:17 Config.small in
+    let heap = Heap.create pm in
+    let params = { Spec_soft.default_params with recovery = mode } in
+    let backends, recover =
+      if threads = 1 then
+        let b, _ = Spec_soft.create heap params in
+        ([| b |], b.Ctx.recover)
+      else
+        let mt = Spec_mt.create ~params heap ~threads in
+        (Array.init threads (Spec_mt.thread mt), fun () -> Spec_mt.recover mt)
+    in
+    let base = Addr.align_up (Heap.alloc heap ((lines + 1) * 64)) 64 in
+    let cells = lines * 64 / stride in
+    (* one transaction per line's worth of cells, in a scrambled
+       permutation (7 is coprime to both cell counts); the logs stay
+       within the cache, so no eviction writes a line early *)
+    let per_tx = cells / lines in
+    for k = 0 to lines - 1 do
+      backends.(k mod threads).Ctx.run_tx (fun ctx ->
+          for j = 0 to per_tx - 1 do
+            let c = ((k * per_tx) + j) * 7 mod cells in
+            ctx.Ctx.write (base + (c * stride)) (c + 1)
+          done)
+    done;
+    Pmem.crash_with pm ~persist:(fun _ -> false);
+    let before = Stats.copy (Pmem.stats pm) in
+    recover ();
+    let d = Stats.diff before (Pmem.stats pm) in
+    let name =
+      Printf.sprintf "stride %d, %s, %d thread(s)" stride
+        (if mode = Spec_soft.Coalesce then "coalesce" else "replay")
+        threads
+    in
+    for c = 0 to cells - 1 do
+      Alcotest.(check int) (name ^ ": restored") (c + 1)
+        (Pmem.peek_volatile_int pm (base + (c * stride)))
+    done;
+    Alcotest.(check int) (name ^ ": one clwb per line + sentinels")
+      (lines + threads) d.Stats.clwbs;
+    Alcotest.(check int) (name ^ ": line writes") (lines + threads)
+      d.Stats.pm_write_lines;
+    Alcotest.(check int) (name ^ ": sequential line writes") (lines - 1)
+      d.Stats.pm_write_lines_seq
+  in
+  List.iter case
+    (List.concat_map
+       (fun (stride, threads) ->
+         [ (stride, Spec_soft.Coalesce, threads); (stride, Replay, threads) ])
+       [ (64, 1); (8, 1); (64, 2); (8, 2) ])
+
+(* the pool's recovery reads each thread's log once: the data recovery's
+   scan is what reattaches the arena, which then walks only the block
+   chain's headers.  The logs are several times the cache, so a second
+   record scan would fetch every line again. *)
+let test_mt_recover_reads_each_log_once () =
+  let pm = Pmem.create ~seed:19 Config.small in
+  let heap = Heap.create pm in
+  let mt = Spec_mt.create heap ~threads:2 in
+  let base = Heap.alloc heap (64 * 8) in
+  for k = 0 to 799 do
+    (Spec_mt.thread mt (k mod 2)).Ctx.run_tx (fun ctx ->
+        for j = 0 to 3 do
+          ctx.Ctx.write (base + ((k + (j * 16)) mod 64 * 8)) (k + j)
+        done)
+  done;
+  let chain_lines =
+    List.fold_left
+      (fun n i -> n + ((Spec_mt.thread mt i).Ctx.log_footprint () / 64))
+      0 [ 0; 1 ]
+  in
+  Pmem.crash_with pm ~persist:(fun _ -> false);
+  let before = Stats.copy (Pmem.stats pm) in
+  Spec_mt.recover mt;
+  let d = Stats.diff before (Pmem.stats pm) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d lines read <= %d chain lines" d.Stats.pm_read_lines
+       chain_lines)
+    true
+    (d.Stats.pm_read_lines <= chain_lines);
+  Alcotest.(check int) "last write survives" (799 + 3)
+    (Pmem.peek_volatile_int pm (base + ((799 + 48) mod 64 * 8)))
+
 (* differential oracle: on any randomized 3-thread history with a crash,
    coalescing recovery must reproduce exactly the state the paper's
    sort-and-replay algorithm yields.  The pre-crash execution is
@@ -1072,6 +1162,10 @@ let () =
             test_switch_out_crash_atomic;
           Alcotest.test_case "coalesced recovery writes each cell once" `Quick
             test_recover_coalesces_stale_overwrites;
+          Alcotest.test_case "recovery writes back lines in order" `Quick
+            test_recover_write_back_ascending;
+          Alcotest.test_case "pool recovery reads each log once" `Quick
+            test_mt_recover_reads_each_log_once;
           QCheck_alcotest.to_alcotest prop_mt_recovery_differential;
           Alcotest.test_case "adaptive reclamation triggers" `Quick
             test_adaptive_reclaim_triggers;
