@@ -1269,11 +1269,10 @@ let ycsb () =
     in
     let acked = ref 0 and cksum = ref 0 in
     let absorb () =
-      List.iter
-        (fun c ->
-          incr acked;
-          cksum := ((!cksum * 31) + c.Svc.Service.value) land max_int)
-        (Svc.Service.drain svc)
+      acked :=
+        !acked
+        + Svc.Service.drain svc ~on_ack:(fun c ->
+              cksum := ((!cksum * 31) + c.Svc.Service.value) land max_int)
     in
     let st0 = Stats.copy (Pmem.stats pm) in
     let w0 = Unix.gettimeofday () in

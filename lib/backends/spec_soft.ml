@@ -33,13 +33,25 @@ let adaptive_policy =
   Adaptive
     { min_log_bytes = 64 * 1024; stale_trigger = 0.5; bg_duty = 0.05 }
 
-(* One live (freshest) logged entry per datum, mirrored in DRAM: the value,
-   the commit timestamp of the record holding it, and the log block the
-   entry lives in.  The index is what turns reclamation from O(log) into
-   O(live): the compactor rewrites straight from it, never scanning the
-   chain, and per-block live counts tell the scheduler where the stale
-   bytes are. *)
-type vcell = { mutable v : int; mutable ts : int; mutable block : Addr.t }
+(* One live (freshest) logged entry per datum, mirrored in DRAM as a
+   [Log_arena.cell]: the value, the commit timestamp of the record holding
+   it, and the log block the entry lives in.  The index is what turns
+   reclamation from O(log) into O(live): the compactor rewrites straight
+   from its cells, never scanning the chain, and per-block live counts
+   tell the scheduler where the stale bytes are. *)
+type vcell = Log_arena.cell
+
+(* The reclamation scheduler's chain walk ({!choose_boundary}): running
+   sums, and the newest qualifying boundary with the blocks before it and
+   their live cells ([bnd = -1]: none qualifies). *)
+type walk = {
+  mutable entries : int;
+  mutable live : int;
+  mutable blocks : int;
+  mutable bnd : Addr.t;
+  mutable bnd_blocks : int;
+  mutable bnd_live : int;
+}
 
 type t = {
   heap : Heap.t;
@@ -61,6 +73,14 @@ type t = {
          quadratic when the live set itself exceeds the threshold *)
   vindex : (Addr.t, vcell) Hashtbl.t;
   block_live : (Addr.t, int) Hashtbl.t;
+  (* reclamation state, reused by every cycle: the walk and its visitor
+     (built once at [create]), the live set a cycle evacuates, and the
+     cycle (its [reclaims] count) that last stamped each block as part
+     of an evacuated prefix *)
+  walk : walk;
+  mutable walk_step : Addr.t -> unit;
+  evac : Log_arena.live;
+  prefix_stamp : (Addr.t, int) Hashtbl.t;
   mutable bg_spent : float;
       (* background-core ns this runtime has consumed, against the
          adaptive policy's duty-cycle budget *)
@@ -90,16 +110,13 @@ let index_commit t ts =
     (match Hashtbl.find t.vindex a with
     | c ->
         bump_live t c.block (-1);
-        c.v <- slot.Write_set.last_value;
+        c.value <- slot.Write_set.last_value;
         c.ts <- ts;
         c.block <- slot.Write_set.entry_block
     | exception Not_found ->
         Hashtbl.replace t.vindex a
-          {
-            v = slot.Write_set.last_value;
-            ts;
-            block = slot.Write_set.entry_block;
-          });
+          (Log_arena.cell ~target:a ~value:slot.Write_set.last_value ~ts
+             ~block:slot.Write_set.entry_block));
     bump_live t slot.Write_set.entry_block 1
   done
 
@@ -122,8 +139,8 @@ let rebuild_vindex ?from t =
         idx
   in
   Hashtbl.iter
-    (fun a (v, ts, block) ->
-      Hashtbl.replace t.vindex a { v; ts; block };
+    (fun a (value, ts, block) ->
+      Hashtbl.replace t.vindex a (Log_arena.cell ~target:a ~value ~ts ~block);
       bump_live t block 1)
     idx
 
@@ -179,78 +196,92 @@ let reclaim_count t = t.reclaims
    still stale enough to be worth evacuating.  Everything before the
    boundary is rewritten from the index; the hot tail (including the
    append block) is never touched.  It runs on every batch end while
-   reclamation is deferred, so it walks the chain in place instead of
-   building its list. *)
-let choose_boundary t ~stale_trigger =
-  let arena = t.arena in
-  let entries = ref 0 and live = ref 0 and blocks = ref 0 in
-  let best = ref None in
-  Log_arena.iter_chain arena
-    (fun b ->
-      if
-        !blocks > 0 && !entries > 0
-        && Log_arena.is_clean_start arena b
-        && float_of_int (!entries - !live) /. float_of_int !entries
-           >= stale_trigger
-      then best := Some (b, !blocks, !live);
-      entries := !entries + Log_arena.entries_in_block arena b;
-      live := !live + live_in_block t b;
-      incr blocks);
-  !best
+   reclamation is deferred, so it allocates nothing: the visitor is built
+   once and the sums and the result live in [t.walk]. *)
+let walk_step t b =
+  let w = t.walk and arena = t.arena in
+  let stale_trigger =
+    match t.params.reclaim with
+    | Adaptive { stale_trigger; _ } -> stale_trigger
+    | Threshold _ -> infinity
+  in
+  if
+    w.blocks > 0 && w.entries > 0
+    && Log_arena.is_clean_start arena b
+    && float_of_int (w.entries - w.live) /. float_of_int w.entries
+       >= stale_trigger
+  then begin
+    w.bnd <- b;
+    w.bnd_blocks <- w.blocks;
+    w.bnd_live <- w.live
+  end;
+  w.entries <- w.entries + Log_arena.entries_in_block arena b;
+  w.live <- w.live + live_in_block t b;
+  w.blocks <- w.blocks + 1
 
-(* Indexed reclamation: build the timestamp-ascending live groups straight
-   from the volatile index and hand them to {!Log_arena.compact_indexed}.
-   [prefix] restricts the rewrite to cells living in the evacuated chain
-   prefix. *)
-let reclaim_indexed t ~boundary =
+let choose_boundary t =
+  let w = t.walk in
+  w.entries <- 0;
+  w.live <- 0;
+  w.blocks <- 0;
+  w.bnd <- -1;
+  Log_arena.iter_chain t.arena t.walk_step
+
+(* [f] on the [n] oldest blocks of the chain *)
+let iter_oldest t n f =
+  let left = ref n in
+  Log_arena.iter_chain t.arena (fun b ->
+      if !left > 0 then begin
+        decr left;
+        f b
+      end)
+
+(* Indexed reclamation of the prefix [choose_boundary] picked (the whole
+   chain when none qualified).  One sweep of the index pushes every cell
+   living in that prefix onto the reused live set, and
+   {!Log_arena.compact_indexed} sorts the set in place and rewrites it.
+   The output order is pinned, not merely timestamp-ascending: records
+   ascend by timestamp, and a record's entries come in the reverse of the
+   sweep's order.  It decides which cells share a replacement block, and
+   so the per-block live counts every later victim choice reads — the
+   compaction schedule, and where a crash falls between compactions,
+   follow from it. *)
+let reclaim_indexed t =
   let open Specpmt_obs in
   Phase.run Phase.Reclaim @@ fun () ->
-  let keep_from, blocks_visited =
-    match boundary with
-    | Some (b, nblocks, _) -> (Some b, nblocks)
-    | None -> (None, Log_arena.block_count t.arena)
+  let w = t.walk in
+  let whole = w.bnd < 0 in
+  let keep_from = if whole then None else Some w.bnd in
+  let blocks_visited =
+    if whole then Log_arena.block_count t.arena else w.bnd_blocks
   in
-  let in_prefix =
-    match keep_from with
-    | None -> fun _ -> true
-    | Some b ->
-        let prefix = Hashtbl.create 16 in
-        let rec mark = function
-          | blk :: _ when blk = b -> ()
-          | blk :: rest ->
-              Hashtbl.replace prefix blk ();
-              mark rest
-          | [] -> ()
-        in
-        mark (Log_arena.chain t.arena);
-        fun blk -> Hashtbl.mem prefix blk
-  in
-  let by_ts : (int, (Addr.t * int) list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* stamp the prefix; every live cell in it moves out, and the blocks
+     themselves are dropped, so their live counts go now *)
+  let stamp = t.reclaims + 1 in
+  iter_oldest t blocks_visited (fun b ->
+      Hashtbl.replace t.prefix_stamp b stamp;
+      Hashtbl.remove t.block_live b);
   Hashtbl.iter
-    (fun a c ->
-      if in_prefix c.block then
-        match Hashtbl.find_opt by_ts c.ts with
-        | Some l -> l := (a, c.v) :: !l
-        | None -> Hashtbl.add by_ts c.ts (ref [ (a, c.v) ]))
+    (fun _ (c : vcell) ->
+      if
+        whole
+        ||
+        match Hashtbl.find t.prefix_stamp c.block with
+        | s -> s = stamp
+        | exception Not_found -> false
+      then Log_arena.live_push t.evac c)
     t.vindex;
-  let live =
-    Hashtbl.fold (fun ts l acc -> (ts, !l) :: acc) by_ts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   let stats =
     Pmem.with_unmetered t.pm (fun () ->
-        Log_arena.compact_indexed ?keep_from t.arena ~live
-          ~on_place:(fun a ~block ->
-            match Hashtbl.find_opt t.vindex a with
-            | Some c -> c.block <- block
-            | None -> ()))
+        Log_arena.compact_indexed ?keep_from t.arena ~live:t.evac)
   in
-  t.reclaims <- t.reclaims + 1;
+  t.reclaims <- stamp;
   (* no scan term: the index replaced it — that is the O(live) win *)
   charge_bg t (float_of_int stats.Log_arena.entries_live *. 30.0);
-  (* per-block live counts follow the moved survivors *)
-  Hashtbl.reset t.block_live;
-  Hashtbl.iter (fun _ c -> bump_live t c.block 1) t.vindex;
+  (* the replacement blocks, now the oldest of the chain, hold moved
+     cells only: each one's live count is its entry count *)
+  iter_oldest t stats.Log_arena.blocks_allocated (fun b ->
+      Hashtbl.replace t.block_live b (Log_arena.entries_in_block t.arena b));
   Metrics.incr (Metrics.counter "reclaim.cycles");
   Metrics.incr (Metrics.counter "reclaim.indexed_cycles");
   Metrics.add (Metrics.counter "reclaim.blocks_visited") blocks_visited;
@@ -287,11 +318,9 @@ let maybe_reclaim t =
         (Metrics.gauge "reclaim.live_cells")
         (float_of_int (live_cells t));
       if foot >= min_log_bytes && stale_frac >= stale_trigger then begin
-        let boundary = choose_boundary t ~stale_trigger in
+        choose_boundary t;
         let to_copy =
-          match boundary with
-          | Some (_, _, prefix_live) -> prefix_live
-          | None -> live_cells t
+          if t.walk.bnd >= 0 then t.walk.bnd_live else live_cells t
         in
         let est_ns = float_of_int to_copy *. 30.0 in
         let allowed = bg_duty *. Pmem.now t.pm in
@@ -300,7 +329,7 @@ let maybe_reclaim t =
              pressure check will fire again on a later commit *)
           Metrics.incr (Metrics.counter "reclaim.deferred_bg_budget")
         else begin
-          ignore (reclaim_indexed t ~boundary);
+          ignore (reclaim_indexed t);
           t.last_compact_footprint <- Log_arena.footprint t.arena
         end
       end
@@ -517,9 +546,16 @@ let create ?(head_slot = Slots.spec_head) ?tsc heap params =
       last_compact_footprint = params.block_bytes;
       vindex = Hashtbl.create 256;
       block_live = Hashtbl.create 16;
+      walk =
+        { entries = 0; live = 0; blocks = 0; bnd = -1; bnd_blocks = 0;
+          bnd_live = 0 };
+      walk_step = ignore;
+      evac = Log_arena.live_create ();
+      prefix_stamp = Hashtbl.create 16;
       bg_spent = 0.0;
     }
   in
+  t.walk_step <- walk_step t;
   Ctx.Driver.install t.driver
     {
       begin_tx = (fun () -> Log_arena.begin_record t.arena);

@@ -631,37 +631,44 @@ let remove (ctx : Ctx.ctx) t key =
 
 (* ---- ordered iteration: one descent, then leaf right-links ---- *)
 
-let iter_leaf_slow ctx t ~lo f n continue_ =
-  let node = !n in
+(* Both leaf visitors return the right link to continue with (0 at the
+   last leaf), or -1 once [f] has stopped the walk, so [iter_from]'s
+   cursor stays a local — no ref escapes into a callee and a walk
+   allocates nothing. *)
+let iter_leaf_slow ctx t ~lo f node =
   let nk = nkeys_of (r_meta ctx node) in
-  let i = ref 0 in
+  let i = ref 0 and continue_ = ref true in
   while !continue_ && !i < nk do
     let k = r_key ctx t node !i in
     if k >= lo then continue_ := f k (r_pay ctx t node !i);
     incr i
   done;
-  if !continue_ then n := r_right ctx node
+  if !continue_ then r_right ctx node else -1
+
+let iter_leaf_mirror ~lo f (nd : Shadow.node) =
+  let nk = nkeys_of nd.Shadow.meta in
+  let i = ref (Shadow.lower_bound nd.Shadow.keys nk lo)
+  and continue_ = ref true in
+  while !continue_ && !i < nk do
+    continue_ := f nd.Shadow.keys.(!i) nd.Shadow.pays.(!i);
+    incr i
+  done;
+  if !continue_ then nd.Shadow.right else -1
 
 let iter_from ctx t ~lo f =
   let n = ref (locate_leaf ctx t (root_ ctx t) lo) in
-  let continue_ = ref true in
-  while !continue_ && !n <> 0 do
-    match t.sh with
-    | Some sh -> (
-        match Shadow.node sh !n with
-        | nd ->
-            Shadow.hit sh;
-            let nk = nkeys_of nd.Shadow.meta in
-            let i = ref (Shadow.lower_bound nd.Shadow.keys nk lo) in
-            while !continue_ && !i < nk do
-              continue_ := f nd.Shadow.keys.(!i) nd.Shadow.pays.(!i);
-              incr i
-            done;
-            if !continue_ then n := nd.Shadow.right
-        | exception Not_found ->
-            Shadow.miss sh;
-            iter_leaf_slow ctx t ~lo f n continue_)
-    | None -> iter_leaf_slow ctx t ~lo f n continue_
+  while !n > 0 do
+    n :=
+      match t.sh with
+      | Some sh -> (
+          match Shadow.node sh !n with
+          | nd ->
+              Shadow.hit sh;
+              iter_leaf_mirror ~lo f nd
+          | exception Not_found ->
+              Shadow.miss sh;
+              iter_leaf_slow ctx t ~lo f !n)
+      | None -> iter_leaf_slow ctx t ~lo f !n
   done
 
 let iter_range ctx t ~lo ~hi f =

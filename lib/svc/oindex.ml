@@ -8,12 +8,47 @@ open Specpmt_pstruct
    shard's runtime heap through that shard's backend, the directory
    block and root slot live in the parent heap.  See oindex.mli. *)
 
+(* A scan's running state and the visitor over it, one per shard and
+   built once, so a scan allocates nothing.  Per shard, not per index:
+   in the data plane each shard's scans run on its own domain. *)
+type cursor = {
+  mutable ctx : Ctx.ctx;
+  mutable acc : int;
+  mutable left : int;
+  visit : int -> int -> bool;
+}
+
 type t = {
   trees : Pbtree.t array;  (* shard -> its ordered index *)
   populated : Bytes.t;  (* key -> has a client write indexed it? *)
   shards : int;
   keys : int;
+  cursors : cursor array;  (* shard -> its scan cursor *)
 }
+
+let cursor ctx =
+  let rec c =
+    {
+      ctx;
+      acc = 0;
+      left = 0;
+      visit =
+        (fun k addr ->
+          c.acc <- ((c.acc * 31) + k + c.ctx.Ctx.read addr) land max_int;
+          c.left <- c.left - 1;
+          c.left > 0);
+    }
+  in
+  c
+
+let make ctx trees populated ~shards ~keys =
+  {
+    trees;
+    populated;
+    shards;
+    keys;
+    cursors = Array.init shards (fun _ -> cursor ctx);
+  }
 
 (* directory block: [shards; keys; order; header_0; ...] *)
 let dir_shards d = d
@@ -56,7 +91,7 @@ let create ?(order = 8) ?(shadow = true) heap ~pool ~shards ~keys =
   Pmem.clwb pm slot;
   Pmem.sfence pm;
   if shadow then attach_mirrors ~pool trees;
-  { trees; populated = Bytes.make keys '\000'; shards; keys }
+  make (Ctx.peek_ctx pm) trees (Bytes.make keys '\000') ~shards ~keys
 
 let recover ?(shadow = true) ?pool heap ~shards ~keys =
   let pm = Heap.pmem heap in
@@ -87,7 +122,7 @@ let recover ?(shadow = true) ?pool heap ~shards ~keys =
     | None ->
         Array.iter (fun tree -> Pbtree.attach_shadow ctx tree) trees
   end;
-  { trees; populated; shards; keys }
+  make ctx trees populated ~shards ~keys
 
 let ensure ctx t ~shard ~key ~addr =
   if Bytes.get t.populated key = '\000' then begin
@@ -99,12 +134,12 @@ let ensure ctx t ~shard ~key ~addr =
   end
 
 let scan (ctx : Ctx.ctx) t ~shard ~anchor ~len =
-  let acc = ref 0 and left = ref len in
-  Pbtree.iter_from ctx t.trees.(shard) ~lo:anchor (fun k addr ->
-      acc := ((!acc * 31) + k + ctx.Ctx.read addr) land max_int;
-      decr left;
-      !left > 0);
-  !acc
+  let c = t.cursors.(shard) in
+  c.ctx <- ctx;
+  c.acc <- 0;
+  c.left <- len;
+  Pbtree.iter_from ctx t.trees.(shard) ~lo:anchor c.visit;
+  c.acc
 
 let is_populated t k = Bytes.get t.populated k = '\001'
 

@@ -112,9 +112,8 @@ let submit t ~client ~key op =
    the executor seals them under a single fence, and only then are the
    requests acknowledged — an ack therefore always names a durable op.
    Acks fire per batch, right after its fence: a crash later in the same
-   drain must not lose already-durable acks.  Returns [acc] with the
-   batch's completions consed on, newest first. *)
-let exec_batch t s n ~on_ack acc =
+   drain must not lose already-durable acks. *)
+let exec_batch t s n ~on_ack =
   Shard.batch_begin s.exe;
   for i = 0 to n - 1 do
     let r = s.batch.(i) in
@@ -123,11 +122,10 @@ let exec_batch t s n ~on_ack acc =
   Shard.batch_end s.exe ~n;
   Admission.ack s.adm n;
   let t_ack = now t in
-  let acc = ref acc in
   for i = 0 to n - 1 do
     let r = s.batch.(i) in
     Specpmt_obs.Hist.observe s.lat (int_of_float (t_ack -. r.enq_ns));
-    let c =
+    on_ack
       {
         c_client = r.client;
         c_shard = s.id;
@@ -137,14 +135,10 @@ let exec_batch t s n ~on_ack acc =
         c_enq_ns = r.enq_ns;
         ack_ns = t_ack;
       }
-    in
-    on_ack c;
-    acc := c :: !acc
-  done;
-  !acc
+  done
 
 let drain ?(on_ack = fun (_ : completion) -> ()) t =
-  let acc = ref [] in
+  let acked = ref 0 in
   let progress = ref true in
   while !progress do
     progress := false;
@@ -158,11 +152,12 @@ let drain ?(on_ack = fun (_ : completion) -> ()) t =
         for j = 0 to n - 1 do
           s.batch.(j) <- Admission.pop s.adm
         done;
-        acc := exec_batch t s n ~on_ack !acc
+        exec_batch t s n ~on_ack;
+        acked := !acked + n
       end
     done
   done;
-  List.rev !acc
+  !acked
 
 let recover t =
   Spec_mt.recover t.pool;

@@ -60,11 +60,12 @@ val submit :
     [svc.rejected] counter).  Raises [Invalid_argument] on an op
     {!Shard.validate} rejects. *)
 
-val drain : ?on_ack:(completion -> unit) -> t -> completion list
+val drain : ?on_ack:(completion -> unit) -> t -> int
 (** Execute every admitted request: per shard, dequeue up to
     [batch_max], run the batch, seal, acknowledge.  [on_ack] fires per
-    completion immediately after its batch's fence (crash-safe ack
-    stream); the returned list is in acknowledgement order. *)
+    completion, in acknowledgement order, immediately after its batch's
+    fence (crash-safe ack stream) — it is the only way completions
+    reach the caller.  Returns the number of requests acknowledged. *)
 
 val recover : t -> unit
 (** Post-crash: multi-threaded log recovery over all shards, then drop

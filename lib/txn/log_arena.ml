@@ -885,21 +885,85 @@ let compact t =
   Trace.emit "arena.compact" ~a:stats.blocks_freed ~b:live;
   stats
 
+(* A live set for {!compact_indexed}: the index's own cells threaded
+   through their [link] fields, newest push first, so building and
+   sorting it allocates nothing per entry.  [nil] ends every thread and
+   is never written; [head] is the merge's scratch list head. *)
+type cell = {
+  target : Addr.t;
+  mutable value : int;
+  mutable ts : int;
+  mutable block : Addr.t;
+  mutable link : cell;
+}
+
+let rec nil = { target = -1; value = 0; ts = 0; block = -1; link = nil }
+let cell ~target ~value ~ts ~block = { target; value; ts; block; link = nil }
+
+type live = { mutable first : cell; mutable count : int; head : cell }
+
+let live_create () =
+  { first = nil; count = 0; head = cell ~target:(-1) ~value:0 ~ts:0 ~block:(-1) }
+
+let live_push l c =
+  c.link <- l.first;
+  l.first <- c;
+  l.count <- l.count + 1
+
+(* Stable merge of two timestamp-sorted threads: on equal timestamps the
+   cell from [a] (earlier in the list) goes first. *)
+let merge_cells l a b =
+  let tail = ref l.head and a = ref a and b = ref b in
+  while !a != nil && !b != nil do
+    if !b.ts < !a.ts then begin
+      !tail.link <- !b;
+      tail := !b;
+      b := !b.link
+    end
+    else begin
+      !tail.link <- !a;
+      tail := !a;
+      a := !a.link
+    end
+  done;
+  !tail.link <- (if !a != nil then !a else !b);
+  let sorted = l.head.link in
+  l.head.link <- nil;
+  sorted
+
+(* Top-down merge sort of the [n] cells from [l.first]: returns the
+   sorted run and leaves [l.first] past it.  Recursion depth log n. *)
+let rec sort_cells l n =
+  if n = 1 then begin
+    let c = l.first in
+    l.first <- c.link;
+    c.link <- nil;
+    c
+  end
+  else
+    let a = sort_cells l (n / 2) in
+    let b = sort_cells l (n - (n / 2)) in
+    merge_cells l a b
+
 (* Index-driven reclamation: rewrite from a caller-supplied live set — no
-   scan of the old chain at all, O(live) instead of O(log).  With
-   [keep_from] set, only the chain prefix strictly older than that block
-   is evacuated: the new chain carries the prefix's live entries and is
-   spliced onto the retained suffix with a seal marker, so a scan flows
-   new-prefix -> suffix.  The boundary must be a clean-start block (a
-   record boundary): records never span such a boundary, and append order
-   is timestamp order, so every evacuated timestamp precedes every
-   retained one and the scan-order-equals-timestamp-order invariant
-   survives.  Crash safety is the same 2-fence splice as {!compact}: the
-   entire new chain (including its splice pointer) persists with fence #1
-   while still unreachable, and becomes live only at the atomic head
-   publish (fence #2) — the order in which live entries were gathered or
-   written is invisible to every crash point. *)
-let compact_indexed ?keep_from ?(on_place = fun _ ~block:_ -> ()) t ~live =
+   scan of the old chain at all, O(live) instead of O(log).  The set is
+   sorted in place by timestamp, stably, and written one record per
+   timestamp in ascending order; within a record the entries keep the
+   set's order (the reverse of push order).  Each cell's [block] is set
+   to the block its entry lands in.  With [keep_from] set, only the chain
+   prefix strictly older than that block is evacuated: the new chain
+   carries the prefix's live entries and is spliced onto the retained
+   suffix with a seal marker, so a scan flows new-prefix -> suffix.  The
+   boundary must be a clean-start block (a record boundary): records
+   never span such a boundary, and append order is timestamp order, so
+   every evacuated timestamp precedes every retained one and the
+   scan-order-equals-timestamp-order invariant survives.  Crash safety
+   is the same 2-fence splice as {!compact}: the entire new chain
+   (including its splice pointer) persists with fence #1 while still
+   unreachable, and becomes live only at the atomic head publish
+   (fence #2) — the order in which live entries were gathered or written
+   is invisible to every crash point. *)
+let compact_indexed ?keep_from t ~live =
   assert (not (has_open_record t));
   assert (t.n_tent = 0);
   (match keep_from with
@@ -909,13 +973,10 @@ let compact_indexed ?keep_from ?(on_place = fun _ ~block:_ -> ()) t ~live =
           "Log_arena.compact_indexed: keep_from must be a clean-start chain \
            block"
   | None -> ());
-  ignore
-    (List.fold_left
-       (fun prev (ts, _) ->
-         assert (ts > prev);
-         ts)
-       0 live);
-  let copied = List.fold_left (fun n (_, es) -> n + List.length es) 0 live in
+  let copied = live.count in
+  let sorted = if copied = 0 then nil else sort_cells live copied in
+  live.first <- nil;
+  live.count <- 0;
   let zero =
     {
       records_scanned = 0;
@@ -946,18 +1007,21 @@ let compact_indexed ?keep_from ?(on_place = fun _ ~block:_ -> ()) t ~live =
       let t2 =
         mk t.heap ~head_slot:t.head_slot ~block_bytes:t.block_bytes b0
       in
-      List.iter
-        (fun (ts, entries) ->
-          begin_record t2;
-          List.iter
-            (fun (tgt, v) ->
-              ignore (add_entry t2 ~target:tgt ~value:v);
-              on_place tgt ~block:t2.cur_block)
-            entries;
-          (* flushes persist on WPQ acceptance; one fence below covers the
-             whole new chain *)
-          commit_record t2 ~timestamp:ts ~fence:false)
-        live;
+      let c = ref sorted in
+      while !c != nil do
+        let ts = !c.ts in
+        assert (ts > 0);
+        begin_record t2;
+        while !c != nil && !c.ts = ts do
+          let x = !c in
+          ignore (add_entry t2 ~target:x.target ~value:x.value);
+          x.block <- t2.cur_block;
+          c := x.link
+        done;
+        (* flushes persist on WPQ acceptance; one fence below covers the
+           whole new chain *)
+        commit_record t2 ~timestamp:ts ~fence:false
+      done;
       (match keep_from with
       | Some b ->
           (* seal the new chain into the retained suffix: the scanner must

@@ -168,26 +168,49 @@ val compact : t -> compact_stats
     global timestamp order (Section 5.2.2) remains correct.  Must not be
     called while a record is open. *)
 
+(** One datum's freshest logged entry, as a volatile live index keeps
+    it: the cell's address, value, commit timestamp and the block holding
+    the entry.  [link] threads the cell into a {!live} set; a cell is in
+    at most one set at a time. *)
+type cell = {
+  target : Addr.t;
+  mutable value : int;
+  mutable ts : int;
+  mutable block : Addr.t;
+  mutable link : cell;
+}
+
+val cell : target:Addr.t -> value:int -> ts:int -> block:Addr.t -> cell
+
+type live
+(** The live set handed to {!compact_indexed}: cells threaded through
+    their own [link] fields, so building, sorting and rewriting it
+    allocates nothing per entry.  Reusable: {!compact_indexed} empties
+    it. *)
+
+val live_create : unit -> live
+
+val live_push : live -> cell -> unit
+(** Add a cell to the front of the set. *)
+
 val compact_indexed :
-  ?keep_from:Addr.t ->
-  ?on_place:(Addr.t -> block:Addr.t -> unit) ->
-  t ->
-  live:(int * (Addr.t * int) list) list ->
-  compact_stats
+  ?keep_from:Addr.t -> t -> live:live -> compact_stats
 (** Index-driven reclamation: rewrite the chain from a caller-supplied
-    live set — [(timestamp, (target, value) list)] groups in strictly
-    ascending timestamp order — without scanning the old chain at all:
-    O(live) copies instead of {!compact}'s O(log) scan.  [on_place] is
-    called with each entry's target and the new block it lands in, so the
-    caller can keep a volatile index current.  With [keep_from] (which
-    must be a {!is_clean_start} block of the chain) only the prefix
-    strictly older than that block is evacuated: [live] must then hold
-    exactly the prefix's live entries, and the new chain is sealed into
-    the retained suffix; a fully stale prefix ([live = []]) is dropped
-    with a single pointer persist and zero copies.  Crash safety is the
-    same 2-fence splice as {!compact}: everything new persists with fence
-    #1 while unreachable and becomes live only at the atomic head publish
-    (fence #2).  Must not be called while a record is open. *)
+    live set without scanning the old chain at all — O(live) copies
+    instead of {!compact}'s O(log) scan.  The set is sorted in place by
+    timestamp, stably, and written as one record per timestamp in
+    ascending order, each record's entries in set order (the reverse of
+    push order); every cell's [block] is set to the block its entry
+    lands in, so the caller's index stays current.  The set is empty
+    afterwards.  With [keep_from] (which must be a {!is_clean_start}
+    block of the chain) only the prefix strictly older than that block
+    is evacuated: [live] must then hold exactly the prefix's live
+    entries, and the new chain is sealed into the retained suffix; a
+    fully stale prefix (an empty set) is dropped with a single pointer
+    persist and zero copies.  Crash safety is the same 2-fence splice as
+    {!compact}: everything new persists with fence #1 while unreachable
+    and becomes live only at the atomic head publish (fence #2).  Must
+    not be called while a record is open. *)
 
 val reset : t -> unit
 (** Durably empty the log: persist an end-of-log sentinel at the head

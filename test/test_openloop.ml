@@ -238,11 +238,13 @@ let test_rmw_scan_semantics () =
     (match Service.submit svc ~client:0 ~key op with
     | Admission.Accepted -> ()
     | Admission.Rejected _ -> Alcotest.fail "unexpected shed");
-    match Service.drain svc with
-    | [ c ] ->
+    let got = ref [] in
+    match Service.drain svc ~on_ack:(fun c -> got := c :: !got) with
+    | 1 ->
+        let c = List.hd !got in
         completions := c :: !completions;
         c.Service.value
-    | cs -> Alcotest.fail (Printf.sprintf "%d completions" (List.length cs))
+    | n -> Alcotest.fail (Printf.sprintf "%d completions" n)
   in
   let _ = submit_drain 5 (Service.Write 10) in
   Alcotest.(check int) "rmw returns old + delta" 17

@@ -140,8 +140,7 @@ let test_router_and_admission () =
   Alcotest.(check int) "sheds counted" (List.length shed)
     (Service.rejected svc);
   (* a drain frees the slots: the shed keys go through on retry *)
-  let done1 = Service.drain svc in
-  Alcotest.(check int) "accepted ops complete" 2 (List.length done1);
+  Alcotest.(check int) "accepted ops complete" 2 (Service.drain svc);
   List.iter
     (fun (v : Admission.verdict) ->
       match v with
@@ -345,13 +344,14 @@ let test_spsc_wraparound () =
 (* the constant-cost tentpole in one number: steady-state committed
    writes on the serial service path must stay under a small minor-heap
    budget per op.  What is left per op is what the service API hands
-   out — the request record and its timestamp, the completion record
-   and the list cells [drain] returns: 25.7 words/op, measured after
-   the device clock was unboxed, trace values built only when traced,
-   the admission queue made a ring and [drain] list-free (146.2 before,
-   ~167 before the flat-buffer rework).  The budget adds ~20% headroom
-   and fails loudly if per-op closures, option boxing, boxed floats or
-   hashtable churn creep back into the write path. *)
+   out — the request record and its timestamp, and the completion
+   record [drain] passes to [on_ack]: 19.7 words/op, measured once
+   [drain] returned a count instead of a completion list (25.7 with the
+   list; 146.2 before the device clock was unboxed, trace values were
+   built only when traced and the admission queue became a ring; ~167
+   before the flat-buffer rework).  The budget adds ~20% headroom and
+   fails loudly if per-op closures, option boxing, boxed floats, list
+   cells or hashtable churn creep back into the write path. *)
 let test_alloc_budget_per_write () =
   let _, svc =
     mk_svc { Service.shards = 1; batch_max = 8; depth = 128; keys = 64 }
@@ -379,8 +379,52 @@ let test_alloc_budget_per_write () =
   done;
   let per_op = (Gc.minor_words () -. w0) /. float_of_int (rounds * 64) in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per committed write <= 31" per_op)
-    true (per_op <= 31.0)
+    (Printf.sprintf "%.1f minor words per committed write <= 24" per_op)
+    true (per_op <= 24.0)
+
+(* One [Oindex.scan] on the service's index, mirror on and off, through
+   a metered read-only ctx: the visitor and its running state are built
+   once per shard and [Pbtree.iter_from] keeps its cursor local, so a
+   scan allocates nothing (15 words per len-16 scan with the mirror on
+   before: the per-call closure, its two refs and the walk's two
+   escaping refs).  The budget only leaves room for the boxed float of
+   the measurement itself. *)
+let test_alloc_budget_per_scan () =
+  List.iter
+    (fun shadow ->
+      let pm, svc =
+        mk_svc ~shadow
+          { Service.shards = 1; batch_max = 8; depth = 64; keys = 256 }
+      in
+      for k = 0 to 255 do
+        (match Service.submit svc ~client:0 ~key:k (Service.Write k) with
+        | Admission.Accepted -> ()
+        | Admission.Rejected _ -> Alcotest.fail "unexpected shed");
+        if k mod 32 = 31 then ignore (Service.drain svc)
+      done;
+      let ctx =
+        {
+          (Specpmt_txn.Ctx.peek_ctx pm) with
+          Specpmt_txn.Ctx.read = (fun a -> Pmem.load_int pm a);
+        }
+      in
+      let oidx = Service.oindex svc in
+      let scans n =
+        for r = 0 to n - 1 do
+          ignore
+            (Oindex.scan ctx oidx ~shard:0 ~anchor:(r * 37 mod 256) ~len:16)
+        done
+      in
+      scans 64;
+      let n = 2000 in
+      let w0 = Gc.minor_words () in
+      scans n;
+      let per_scan = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.4f minor words per len-16 scan (mirror %b) <= 0.01"
+           per_scan shadow)
+        true (per_scan <= 0.01))
+    [ true; false ]
 
 (* The per-transaction half of the budget: one steady-state SpecSPMT
    [run_tx], read-only and with one write, on the backend directly.  The
@@ -773,6 +817,8 @@ let () =
             test_alloc_budget_per_write;
           Alcotest.test_case "minor words per SpecSPMT run_tx" `Quick
             test_alloc_budget_per_tx;
+          Alcotest.test_case "minor words per ordered-index scan" `Quick
+            test_alloc_budget_per_scan;
         ] );
       ( "reads",
         [

@@ -363,24 +363,29 @@ let freshest_cells pm =
          Array.iter (fun (t, v) -> Hashtbl.replace h t v) es));
   List.sort compare (Hashtbl.fold (fun t v acc -> (t, v) :: acc) h [])
 
-(* Group a coalescing-scan index into [compact_indexed]'s input shape:
-   timestamp-ascending (target, value) groups, optionally restricted to
-   entries living in [blocks]. *)
-let live_groups ?blocks pm =
+(* A coalescing-scan index as [compact_indexed]'s live set, optionally
+   restricted to entries living in [blocks]; also returns its cells. *)
+let live_set ?blocks pm =
   let index = Hashtbl.create 32 in
   ignore (Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index);
   let keep b =
     match blocks with None -> true | Some bs -> List.mem b bs
   in
-  let by_ts = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun a (v, ts, b) ->
-      if keep b then
-        let l = try Hashtbl.find by_ts ts with Not_found -> [] in
-        Hashtbl.replace by_ts ts ((a, v) :: l))
-    index;
-  Hashtbl.fold (fun ts l acc -> (ts, l) :: acc) by_ts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let live = Log_arena.live_create () in
+  let cells =
+    Hashtbl.fold
+      (fun a (v, ts, b) acc ->
+        if keep b then begin
+          let c = Log_arena.cell ~target:a ~value:v ~ts ~block:b in
+          Log_arena.live_push live c;
+          c :: acc
+        end
+        else acc)
+      index []
+  in
+  (live, cells)
+
+let live_groups ?blocks pm = fst (live_set ?blocks pm)
 
 let test_compact_indexed_equals_scan_compact () =
   (* the index-driven compactor and the legacy scan-based one must leave
@@ -411,6 +416,28 @@ let test_compact_indexed_equals_scan_compact () =
   Alcotest.(check (list (pair int (list (pair int int)))))
     "same record layout" (layout pm1) (layout pm2)
 
+(* The rewrite order is part of the contract: one record per timestamp,
+   ascending, and within a record the live set's order — the reverse of
+   push order — whatever order the cells were pushed in. *)
+let test_compact_indexed_order () =
+  let pm, _, a = mk_arena () in
+  fill_arena a 4;
+  let live = Log_arena.live_create () in
+  List.iter
+    (fun (target, ts) ->
+      Log_arena.live_push live
+        (Log_arena.cell ~target ~value:(target + ts) ~ts ~block:0))
+    [ (8, 3); (16, 1); (24, 3); (32, 2); (40, 1); (48, 3) ];
+  ignore (Log_arena.compact_indexed a ~live);
+  let recs = ref [] in
+  ignore
+    (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts es ->
+         recs := (ts, Array.to_list (Array.map fst es)) :: !recs));
+  Alcotest.(check (list (pair int (list int))))
+    "ts ascending, reverse push order within a record"
+    [ (1, [ 40; 16 ]); (2, [ 32 ]); (3, [ 48; 24; 8 ]) ]
+    (List.rev !recs)
+
 let test_compact_indexed_prefix_keeps_suffix () =
   let pm, _, a = mk_arena () in
   fill_arena a 6;
@@ -429,14 +456,16 @@ let test_compact_indexed_prefix_keeps_suffix () =
     in
     take (Log_arena.chain a)
   in
-  let live = live_groups ~blocks:prefix pm in
-  let placed = ref 0 in
-  let st =
-    Log_arena.compact_indexed ~keep_from:boundary a ~live
-      ~on_place:(fun _ ~block:_ -> incr placed)
-  in
-  Alcotest.(check int) "every prefix survivor placed" !placed
+  let live, cells = live_set ~blocks:prefix pm in
+  let st = Log_arena.compact_indexed ~keep_from:boundary a ~live in
+  Alcotest.(check int) "every prefix survivor copied" (List.length cells)
     st.Log_arena.entries_live;
+  let fresh =
+    List.filteri (fun i _ -> i < st.Log_arena.blocks_allocated)
+      (Log_arena.chain a)
+  in
+  Alcotest.(check bool) "every survivor's block is a replacement block" true
+    (List.for_all (fun c -> List.mem c.Log_arena.block fresh) cells);
   Alcotest.(check bool) "prefix blocks freed" true
     (st.Log_arena.blocks_freed > 0);
   Alcotest.(check (list (pair int int)))
@@ -461,7 +490,10 @@ let test_compact_indexed_fully_stale_prefix_drops () =
   (* overwrite every cell after the boundary: the prefix is all stale *)
   fill_arena a 3;
   let before = freshest_cells pm in
-  let st = Log_arena.compact_indexed ~keep_from:boundary a ~live:[] in
+  let st =
+    Log_arena.compact_indexed ~keep_from:boundary a
+      ~live:(Log_arena.live_create ())
+  in
   Alcotest.(check int) "zero copies" 0 st.Log_arena.entries_live;
   Alcotest.(check int) "zero blocks allocated" 0 st.Log_arena.blocks_allocated;
   Alcotest.(check bool) "prefix dropped" true (st.Log_arena.blocks_freed > 0);
@@ -1107,6 +1139,8 @@ let () =
             test_recover_collect_last_writer_wins;
           Alcotest.test_case "compact_indexed equals scan compact" `Quick
             test_compact_indexed_equals_scan_compact;
+          Alcotest.test_case "compact_indexed output order" `Quick
+            test_compact_indexed_order;
           Alcotest.test_case "compact_indexed keeps suffix" `Quick
             test_compact_indexed_prefix_keeps_suffix;
           Alcotest.test_case "compact_indexed drops stale prefix" `Quick
